@@ -16,11 +16,18 @@ Also micro-benchmarks the butterfly solver's in-place bisection against
 an inline reimplementation of the old ``np.where`` formulation (the
 before/after note for the PR) and asserts bit-identity there too.
 
-The batched-core gate (PR 10) A/Bs the fused ``(2B, G)`` bisection
-against the per-side solve on raw batches, checks deep-solve lane
-compaction, and passes when the fused solve is >= 1.5x faster on wall
-time OR the sweep-level eval reduction holds >= 2x -- outputs
-bit-identical in every case.
+The batched-core block A/Bs the fused ``(2B, G)`` bisection against
+the per-side solve on raw batches and checks deep-solve lane
+compaction, outputs bit-identical in every case.  It reports two
+separate gates, each of which must pass on its own: the fused
+single-sample solve is >= 1.5x faster on wall time, and the sweep-level
+eval reduction holds >= 2x.
+
+The cascade gate checks that depth-cascade labels match the exact path
+on bulk and planted near-boundary batches (both lobes' criteria) and
+reports how many rows reached each cascade depth plus the sweep's eval
+reduction.  The split gates are checked once the record is saved, so a
+failing gate still leaves its numbers behind.
 
 Numbers land in root-level ``BENCH_hotpath.json``: the ``latest`` block
 plus an appended ``runs`` trajectory.  ``--quick`` shrinks budgets for
@@ -49,6 +56,8 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
+from repro.perf.adaptive import AdaptiveMarginEvaluator
+from repro.perf.cache import LEVELS, SolveCache
 from repro.perf.report import collect_perf, merge_perf
 from repro.runtime import ExecutionConfig
 from repro.sram.butterfly import ReadButterflySolver
@@ -333,10 +342,16 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
     print(f"  96-step solve: {saved_fraction:.1%} of device evals "
           f"compacted away, outputs bit-identical")
 
-    assert raw_speedup >= 1.5 or sweep["eval_reduction"] >= 2.0, (
-        f"batched gate failed: fused speedup {raw_speedup:.2f}x < 1.5x "
-        f"and sweep eval reduction {sweep['eval_reduction']:.2f}x < 2x")
-    return {"single_per_side_best_s": side_1_s,
+    gates = {"fused_speedup": raw_speedup >= 1.5,
+             "eval_reduction": sweep["eval_reduction"] >= 2.0}
+    print(f"  gate fused_speedup >= 1.5x: "
+          f"{'pass' if gates['fused_speedup'] else 'FAIL'} "
+          f"({raw_speedup:.2f}x)")
+    print(f"  gate eval_reduction >= 2x: "
+          f"{'pass' if gates['eval_reduction'] else 'FAIL'} "
+          f"({sweep['eval_reduction']:.2f}x)")
+    return {"gates": gates,
+            "single_per_side_best_s": side_1_s,
             "single_fused_best_s": fused_1_s,
             "single_speedup": raw_speedup,
             "batch_per_side_best_s": side_s,
@@ -346,6 +361,74 @@ def bench_batched(quick: bool, sweep: dict) -> dict:
             "sweep_eval_reduction": sweep["eval_reduction"],
             "note": "fused (2B, G) bisection + active-lane compaction; "
                     "outputs bit-identical"}
+
+
+def planted_boundary_points(exact, which: str, rng,
+                            n_rays: int) -> np.ndarray:
+    """Points at relative distances 1e-2 ... 1e-12 from the boundary.
+
+    Bisects random rays on the exact margin to float resolution and
+    sits points either side of each crossing, so every cascade level
+    meets rows it cannot settle.
+    """
+    margin = {"cell": exact.cell_margin, "lobe0": exact.lobe0_margin}[which]
+    directions = rng.standard_normal((n_rays, 6))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    lo, hi = np.zeros(n_rays), np.full(n_rays, 10.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        failed = margin(directions * mid[:, None]) < 0.0
+        hi = np.where(failed, mid, hi)
+        lo = np.where(failed, lo, mid)
+    radius = 0.5 * (lo + hi)
+    scales = [1.0] + [1.0 + sign * 10.0 ** -e
+                      for e in (2, 4, 6, 8, 10, 12) for sign in (-1, 1)]
+    return np.vstack([directions * (radius * s)[:, None] for s in scales])
+
+
+def bench_cascade(quick: bool, sweep: dict) -> dict:
+    """Gate: depth-cascade labels equal the exact path's, bit for bit.
+
+    Bulk samples mostly settle at the screening depth; the planted
+    near-boundary rows walk the cascade down to the exact depth.  The
+    per-level counts come from the cache's level tags.
+    """
+    print("== depth cascade: labels vs exact path ==")
+    setup = paper_setup(alpha=0.3, perf=PerfConfig.exact())
+    exact = setup.evaluator
+    rng = np.random.default_rng(SEED)
+    n_bulk, n_rays = (2000, 12) if quick else (20000, 48)
+    rows = {}
+    mismatches = 0
+    for which in ("cell", "lobe0"):
+        x = np.vstack([rng.normal(size=(n_bulk, 6)),
+                       rng.normal(scale=3.0, size=(n_bulk, 6)),
+                       planted_boundary_points(exact, which, rng, n_rays)])
+        fast = AdaptiveMarginEvaluator(exact.cell, exact.space)
+        fast.cache = SolveCache(fast.solve_fingerprint())
+        labels = fast.failure_labels(x, which)
+        mismatches += int(np.sum(labels != exact.failure_labels(x, which)))
+        stored = np.bincount(fast.cache.state()["levels"],
+                             minlength=len(LEVELS))
+        reached = [int(stored[LEVELS.index(tag)])
+                   for _, tag, _ in fast.cascade]
+        rows[which] = {
+            "rows": int(x.shape[0]),
+            "reached_per_depth": {
+                str(depth): n for (depth, _, _), n in
+                zip(fast.cascade, reached)},
+            "device_model_evals": fast.device_model_evals,
+        }
+        print(f"  {which:5s} {x.shape[0]:>6,} rows, reached per depth: "
+              + ", ".join(f"{depth}:{n}" for (depth, _, _), n
+                          in zip(fast.cascade, reached)))
+    print(f"  sweep eval reduction {sweep['eval_reduction']:.2f}x")
+    gates = {"labels_identical": mismatches == 0}
+    print(f"  gate labels_identical: "
+          f"{'pass' if gates['labels_identical'] else 'FAIL'} "
+          f"({mismatches} mismatches)")
+    return {"gates": gates, "mismatches": mismatches, "by_criterion": rows,
+            "sweep_eval_reduction": sweep["eval_reduction"]}
 
 
 # ----------------------------------------------------------------------
@@ -370,12 +453,20 @@ def main(argv=None) -> int:
         "mode": "quick" if args.quick else "full",
         "sweep": sweep,
         "batched": bench_batched(args.quick, sweep),
+        "cascade": bench_cascade(args.quick, sweep),
         "warm_cache": bench_warm_cache(scale),
         "backends": bench_backends(scale),
         "resume": bench_resume(scale),
         "butterfly": bench_butterfly(args.quick),
     }
     save_record(record)
+    # the split gates are checked after the record is saved, so a
+    # failing gate still leaves its numbers in BENCH_hotpath.json
+    failed = [f"{block}.{name}" for block in ("batched", "cascade")
+              for name, ok in record[block]["gates"].items() if not ok]
+    if failed:
+        print(f"bench_hotpath: gates FAILED: {', '.join(failed)}")
+        return 1
     print("bench_hotpath: all acceptance gates passed")
     return 0
 

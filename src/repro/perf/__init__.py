@@ -2,9 +2,9 @@
 
 Three cooperating pieces, all result-neutral:
 
-* :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- screens
-  label batches at reduced bisection depth and refines only samples
-  inside a provably safe guard band (labels bit-identical to the exact
+* :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- labels
+  each sample at the shallowest bisection depth whose provably safe
+  guard band settles its sign (labels bit-identical to the exact
   path);
 * :class:`~repro.perf.cache.SolveCache` -- an LRU memo of butterfly
   solves keyed on exact ΔVth bytes plus a solve-configuration

@@ -1,20 +1,24 @@
-"""Adaptive-resolution margin evaluation.
+"""Adaptive-resolution margin evaluation: the depth cascade.
 
 Every estimate funnels through
 :meth:`~repro.sram.butterfly.ReadButterflySolver.solve`, which spends a
 fixed ``2 x bisection_iterations x grid_points`` device-model
 evaluations per sample no matter how far the sample sits from the
 failure boundary.  For *labelling* (the only thing the estimators
-consume in bulk) that is wasted work: far-from-boundary samples -- the
-vast majority in stage 2 -- only need enough resolution to settle the
-margin's sign.
+consume in bulk) that is wasted work: a label needs only the margin's
+sign, and a sample far from the boundary settles its sign after a few
+bisection steps.
 
-:class:`AdaptiveMarginEvaluator` therefore screens every batch with a
-reduced-bisection-depth solve on the **same** voltage grid and margin
-levels, and refines only samples whose coarse margin lands inside a
-guard band around zero.  The guard band is derived from the bisection
-error bound, so screened labels are **bit-identical** to the exact
-path's (proof sketch below and in ``docs/PERFORMANCE.md``):
+:class:`AdaptiveMarginEvaluator` therefore labels each row at the
+shallowest bisection depth that provably settles its sign.  It screens
+every batch at a shallow depth (8 by default) on the **same** voltage
+grid and margin levels as the exact solve, then walks the rows still
+inside the guard band down a fixed schedule of deeper levels
+(:data:`CASCADE_DEPTHS`, then the exact depth 40).  At depth ``k`` a
+row is settled once its margin lies outside
+``margin_guard_band(vdd, k, 40, guard_safety)``.  The band is derived
+from the bisection error bound, so every label is **bit-identical** to
+the exact path's (proof sketch below and in ``docs/PERFORMANCE.md``):
 
 * after ``k`` bisection steps on ``[0, vdd]`` every VTC node voltage is
   within ``eps_k = vdd * 2**-(k+1)`` of the converged value;
@@ -26,18 +30,18 @@ path's (proof sketch below and in ``docs/PERFORMANCE.md``):
 * the lobe margin is a max over cut levels of the two-curve gap over
   ``sqrt(2)``, and both max and min (the cell-level margin) are
   1-Lipschitz in sup norm, giving
-  ``|margin_coarse - margin_exact| <= 3 * (eps_kc + eps_ke)``.
+  ``|margin_k - margin_exact| <= 3 * (eps_k + eps_exact)``.
 
 ``guard_band`` multiplies that bound by a safety factor (default 2) to
 cover the clamped-extrapolation corner of the interpolator and the
-residual non-monotonicity of an unconverged bisection.  Any coarse
-margin beyond the band provably has the exact margin's sign; anything
-inside it is refined to full depth.  Refinement does not start over:
-bisection is deterministic, so the exact solve's first
-``coarse_iterations`` steps reproduce the coarse brackets exactly, and
-the refinement *resumes* from them, paying only the remaining depth
-(in-band rows cost ``exact - coarse`` extra iterations instead of
-``exact``).  :meth:`margins` (the float-valued API
+residual non-monotonicity of an unconverged bisection.  A depth-``k``
+margin beyond its band provably has the exact margin's sign; a row
+inside it moves to the next level.  No level starts over: bisection is
+deterministic, so the first ``k`` steps of any deeper solve reproduce
+the depth-``k`` brackets exactly, and each level *resumes* from the
+previous level's brackets.  A row that reaches depth 40 therefore
+carries exactly the exact path's bits, and a row settled earlier pays
+only the depth its sign needed.  :meth:`margins` (the float-valued API
 used by boundary refinement, cross-entropy and the analyses) always
 returns exact values -- adaptivity accelerates labelling only.
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from repro.perf.cache import SolveCache
 from repro.rng import stable_seed
-from repro.sram.butterfly import ReadButterflySolver
+from repro.sram.butterfly import BisectionState, ReadButterflySolver
 from repro.sram.cell import SramCell
 from repro.sram.evaluator import CellEvaluator
 from repro.sram.margins import lobe_margins
@@ -54,14 +58,22 @@ from repro.variability.space import VariabilitySpace
 
 import numpy as np
 
+#: intermediate bisection depths of the label cascade, between the
+#: screening depth and the exact depth.  Four more steps shrink a
+#: level's guard band 16-fold, so most rows left open at one level
+#: settle at the next; the wider last gaps serve the rare rows that
+#: sit within millivolts of the boundary.
+CASCADE_DEPTHS = (12, 16, 20, 24, 32)
+
 
 def margin_guard_band(vdd: float, coarse_iterations: int,
                       exact_iterations: int, safety: float = 2.0) -> float:
-    """Safe screening threshold on coarse margins [V].
+    """Safe settling threshold on margins of a shallower solve [V].
 
-    ``3 * (eps_coarse + eps_exact)`` per the error analysis above,
-    widened by ``safety``; a coarse margin whose magnitude exceeds this
-    has the same sign as the exact margin.
+    ``3 * (eps_k + eps_exact)`` with ``k = coarse_iterations`` per the
+    error analysis above, widened by ``safety``; a depth-``k`` margin
+    whose magnitude exceeds this has the same sign as the exact margin.
+    The cascade evaluates it once per level.
     """
     if safety < 1.0:
         raise ValueError("safety must be >= 1")
@@ -71,32 +83,33 @@ def margin_guard_band(vdd: float, coarse_iterations: int,
 
 
 class AdaptiveMarginEvaluator(CellEvaluator):
-    """Cell evaluator with coarse-screen / exact-refine labelling.
+    """Cell evaluator with depth-cascade labelling.
 
     Drop-in replacement for :class:`~repro.sram.evaluator.CellEvaluator`
     (built by :func:`repro.perf.build_evaluator` when the
     :class:`~repro.perf.config.PerfConfig` enables adaptivity).  Margins
-    stay exact; only :meth:`failure_labels` takes the screened path, and
-    its labels match the exact path bit for bit by the guard-band
-    argument in the module docstring.
+    stay exact; only :meth:`failure_labels` takes the cascade, and its
+    labels match the exact path bit for bit by the guard-band argument
+    in the module docstring.
 
     Parameters
     ----------
     coarse_iterations:
-        Bisection depth of the screening solver (exact path: 40).
+        Bisection depth of the screening solve, the cascade's first
+        level (exact path: 40).
     guard_safety:
         Multiplier on the analytic error bound; >= 1.
     cache:
         Optional :class:`~repro.perf.cache.SolveCache` shared with the
-        exact path (coarse entries are stored under their own level
-        tag, so the two resolutions never mix).
+        exact path (every cascade depth stores its margins under its
+        own level tag, so resolutions never mix).
     """
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
-                 margin_levels: int = 64, max_batch: int = 4096,
+                 margin_levels: int = 64, max_batch: int | None = None,
                  cache: SolveCache | None = None,
-                 coarse_iterations: int = 12, guard_safety: float = 2.0,
+                 coarse_iterations: int = 8, guard_safety: float = 2.0,
                  batched: bool = True, array_backend=None, planner=None):
         super().__init__(cell, space, vdd=vdd, grid_points=grid_points,
                          margin_levels=margin_levels, max_batch=max_batch,
@@ -111,9 +124,19 @@ class AdaptiveMarginEvaluator(CellEvaluator):
             cell, vdd=vdd, grid_points=grid_points,
             bisection_iterations=coarse_iterations,
             batched=batched, array_backend=self.solver.backend)
-        self.guard_band = margin_guard_band(
-            self.vdd, coarse_iterations,
-            self.solver.bisection_iterations, guard_safety)
+        exact = self.solver.bisection_iterations
+        self.guard_band = margin_guard_band(self.vdd, coarse_iterations,
+                                            exact, guard_safety)
+        #: ``(depth, cache level, guard band)`` per cascade level; the
+        #: exact level settles every row, so its band is -inf
+        self.cascade = (
+            ((coarse_iterations, "coarse", self.guard_band),)
+            + tuple((depth, f"depth-{depth}",
+                     margin_guard_band(self.vdd, depth, exact,
+                                       guard_safety))
+                    for depth in CASCADE_DEPTHS
+                    if coarse_iterations < depth < exact)
+            + ((exact, "exact", -np.inf),))
         self.screened = 0
         self.refined = 0
 
@@ -122,12 +145,11 @@ class AdaptiveMarginEvaluator(CellEvaluator):
                        ) -> np.ndarray:
         """Fail labels, bit-identical to ``CellEvaluator``'s exact path.
 
-        Coarse-screens the whole batch, then refines only the rows whose
-        coarse margin falls inside the guard band.  Refinement *resumes*
-        the coarse bisection (see
-        :meth:`~repro.sram.butterfly.ReadButterflySolver.resume`) so an
-        in-band row costs only the remaining depth, not a from-scratch
-        exact solve.
+        Screens the whole batch at the coarse depth, then walks the rows
+        still inside their level's guard band down the cascade, each
+        level *resuming* the previous level's bisection (see
+        :meth:`~repro.sram.butterfly.ReadButterflySolver.resume`), so a
+        row pays only the depth its sign actually needs.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != 6:
@@ -140,73 +162,65 @@ class AdaptiveMarginEvaluator(CellEvaluator):
 
     def _label_chunk(self, chunk: np.ndarray, which: str) -> np.ndarray:
         dvth = self.space.to_physical(chunk)
-        n = dvth.shape[0]
+        labels = np.empty(dvth.shape[0], dtype=bool)
+        # chunk rows whose sign is still open; `state` holds the
+        # previous level's brackets of the open rows flagged in
+        # `bracketed`, in row order
+        rows = np.arange(dvth.shape[0])
         state = None
-        if self.cache is None:
-            curves, state = self.coarse_solver.solve_with_state(dvth)
-            c0, c1 = lobe_margins(curves, self.margin_levels)
-            solved = np.ones(n, dtype=bool)
-            state_index = np.arange(n)
-        else:
-            hit, c0, c1 = self.cache.lookup("coarse", dvth)
-            solved = ~hit
-            state_index = np.cumsum(solved) - 1
-            if solved.any():
-                curves, state = self.coarse_solver.solve_with_state(
-                    dvth[solved])
-                m0, m1 = lobe_margins(curves, self.margin_levels)
-                self.cache.store("coarse", dvth[solved], m0, m1)
-                c0[solved] = m0
-                c1[solved] = m1
-        margin = self._select_margin(c0, c1, which)
-        labels = margin < 0.0
-        uncertain = np.abs(margin) <= self.guard_band
-        self.screened += int(n - uncertain.sum())
-        if uncertain.any():
-            rows = np.flatnonzero(uncertain)
-            self.refined += rows.size
-            e0, e1 = self._refine(dvth, rows, solved, state, state_index)
-            labels[rows] = self._select_margin(e0, e1, which) < 0.0
+        bracketed = np.zeros(rows.size, dtype=bool)
+        for level, (depth, tag, band) in enumerate(self.cascade):
+            m0, m1, state, bracketed = self._level_margins(
+                dvth[rows], depth, tag, state, bracketed)
+            margin = self._select_margin(m0, m1, which)
+            labels[rows] = margin < 0.0
+            open_ = np.abs(margin) <= band
+            if level == 0:
+                self.refined += int(open_.sum())
+                self.screened += int(rows.size - open_.sum())
+            if not open_.any():
+                break
+            if state is not None:
+                state = state.rows(open_[bracketed])
+            rows = rows[open_]
+            bracketed = bracketed[open_]
         return labels
 
-    def _refine(self, dvth, rows, solved, state, state_index):
-        """Exact margins for the chunk rows ``rows``.
+    def _level_margins(self, dvth, depth, tag, state, bracketed):
+        """Lobe margins of ``dvth`` at bisection depth ``depth``.
 
-        Exact-level cache hits return as-is; solves resume from the
-        coarse brackets where this call produced them (rows whose coarse
-        margin was itself a cache hit have no brackets and re-solve from
-        scratch).  Every branch yields the same bits, so which one a row
-        takes is purely a cost matter.
+        Cache hits under ``tag`` return the stored floats.  Missed rows
+        resume from their brackets where they have them and solve from
+        scratch otherwise (rows whose previous level was a cache hit);
+        every branch yields the same bits, so which one a row takes is
+        purely a cost matter.  Returns the margins plus the brackets at
+        ``depth`` of the solved rows and the mask of those rows.
         """
-        m0 = np.empty(rows.size)
-        m1 = np.empty(rows.size)
-        pending = np.ones(rows.size, dtype=bool)
-        if self.cache is not None:
-            hit, h0, h1 = self.cache.lookup("exact", dvth[rows])
-            m0[hit] = h0[hit]
-            m1[hit] = h1[hit]
-            pending = ~hit
-        if pending.any():
-            sub = rows[pending]
-            out0 = np.empty(sub.size)
-            out1 = np.empty(sub.size)
-            warm = solved[sub]
-            if warm.any():
-                ids = sub[warm]
-                curves = self.solver.resume(dvth[ids],
-                                            state.rows(state_index[ids]))
-                out0[warm], out1[warm] = lobe_margins(curves,
-                                                      self.margin_levels)
-            if not warm.all():
-                cold = ~warm
-                curves = self.solver.solve(dvth[sub[cold]])
-                out0[cold], out1[cold] = lobe_margins(curves,
-                                                      self.margin_levels)
-            if self.cache is not None:
-                self.cache.store("exact", dvth[sub], out0, out1)
-            m0[pending] = out0
-            m1[pending] = out1
-        return m0, m1
+        n = dvth.shape[0]
+        if self.cache is None:
+            m0, m1 = np.empty(n), np.empty(n)
+            solved = np.ones(n, dtype=bool)
+        else:
+            hit, m0, m1 = self.cache.lookup(tag, dvth)
+            solved = ~hit
+        warm = solved & bracketed
+        cold = solved & ~bracketed
+        parts = []
+        if warm.any():
+            warm_state = state.rows(warm[bracketed])
+            curves = self.solver.resume(dvth[warm], warm_state, depth)
+            m0[warm], m1[warm] = lobe_margins(curves, self.margin_levels)
+            parts.append((np.flatnonzero(warm), warm_state))
+        if cold.any():
+            curves, cold_state = self.coarse_solver.solve_with_state(
+                dvth[cold])
+            if depth > cold_state.iterations:
+                curves = self.solver.resume(dvth[cold], cold_state, depth)
+            m0[cold], m1[cold] = lobe_margins(curves, self.margin_levels)
+            parts.append((np.flatnonzero(cold), cold_state))
+        if self.cache is not None and solved.any():
+            self.cache.store(tag, dvth[solved], m0[solved], m1[solved])
+        return m0, m1, _merge(parts), solved
 
     def _local_perf_stats(self) -> dict:
         stats = super()._local_perf_stats()
@@ -228,3 +242,17 @@ class AdaptiveMarginEvaluator(CellEvaluator):
     @property
     def evals_saved(self) -> int:
         return super().evals_saved + self.coarse_solver.evals_saved
+
+
+def _merge(parts: list[tuple[np.ndarray, BisectionState]]
+           ) -> BisectionState | None:
+    """One bracket state, in row order, from per-group states."""
+    if len(parts) < 2:
+        return parts[0][1] if parts else None
+    order = np.argsort(np.concatenate([index for index, _ in parts]))
+    lo_a, hi_a, lo_b, hi_b = (
+        np.concatenate(arrays) for arrays in
+        zip(*(state.side_a + state.side_b for _, state in parts)))
+    merged = BisectionState((lo_a, hi_a), (lo_b, hi_b),
+                            parts[0][1].iterations)
+    return merged.rows(order)

@@ -3,12 +3,12 @@
 The estimators hand the evaluator label requests of wildly different
 sizes -- a few boundary-bisection lanes here, tens of thousands of
 stage-2 samples there.  :class:`BatchPlanner` turns each request into
-solver-call slices that are as large as possible (one fused ``(2B, G)``
-array program per slice amortises the Python-level bisection loop over
-the whole slice) while staying under an explicit peak-scratch-bytes
-budget, replacing the bare ``max_batch`` stride loops that used to be
-duplicated across the evaluator, the adaptive labeller and the write
-indicator.
+solver-call slices large enough that one fused ``(2B, G)`` array
+program per slice amortises the Python-level bisection loop, yet small
+enough that a slice's scratch stays cache-resident
+(:data:`SLICE_ROWS`), optionally under an explicit peak-scratch-bytes
+budget.  It is the one stride loop shared by the evaluator, the
+adaptive labeller and the write indicator.
 
 Slicing is a pure cost decision: the butterfly solve and the margin
 extraction are row-independent elementwise programs, so any
@@ -21,7 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["BatchPlanner"]
+__all__ = ["SLICE_ROWS", "BatchPlanner"]
+
+#: default rows per solver call.  One fused solve keeps ~18 float64
+#: ``(2B, 61)`` lanes live, about 17.6 kB per row: 256 rows keep the
+#: per-step working set near the L2 cache while still amortising the
+#: Python-level bisection loop, where 4096-row slices stream ~72 MB of
+#: scratch through memory on every step.  On a 2-core Xeon (2 MiB L2
+#: per core) 128-512 rows labelled fastest, within noise of each
+#: other, and 4096 rows about 1.4x slower (docs/PERFORMANCE.md).
+SLICE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -31,16 +40,15 @@ class BatchPlanner:
     Parameters
     ----------
     max_batch:
-        Hard per-slice row cap (the evaluator's traditional knob).
+        Hard per-slice row cap (default :data:`SLICE_ROWS`).
     bytes_budget:
         Optional peak-scratch bound; with a per-row cost estimate the
         effective slice size becomes
         ``min(max_batch, bytes_budget // row_bytes)``.  ``None`` leaves
-        ``max_batch`` in charge, which reproduces the legacy stride
-        loop exactly.
+        ``max_batch`` in charge: a plain stride loop.
     """
 
-    max_batch: int = 4096
+    max_batch: int = SLICE_ROWS
     bytes_budget: int | None = None
 
     def __post_init__(self) -> None:

@@ -30,8 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-#: resolution levels a cache entry may be stored at.
-LEVELS = ("exact", "coarse")
+#: resolution levels a cache entry may be stored at: the exact solve,
+#: the adaptive screen and the intermediate depths of the adaptive
+#: label cascade (:data:`repro.perf.adaptive.CASCADE_DEPTHS`).
+#: Snapshots store a level by its index here, so levels are only ever
+#: appended.
+LEVELS = ("exact", "coarse", "depth-12", "depth-16", "depth-20",
+          "depth-24", "depth-32")
 
 
 class SolveCache:

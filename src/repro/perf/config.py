@@ -2,7 +2,7 @@
 
 :class:`PerfConfig` selects how aggressively the margin evaluator may
 trade per-sample work for speed.  Every setting is *result-neutral* by
-construction: the adaptive screen refines anything inside a provably
+construction: the adaptive cascade deepens anything inside a provably
 safe guard band (see :mod:`repro.perf.adaptive`) and the solve cache
 returns the exact floats a fresh solve would produce, so estimates are
 bit-identical whether acceleration is on or off.  The config therefore
@@ -22,20 +22,25 @@ class PerfConfig:
     Parameters
     ----------
     adaptive:
-        Screen every batch on a reduced-bisection-depth solve and refine
-        only samples whose coarse margin falls inside the guard band
-        (default on; ``False`` restores the fixed-budget exact path).
+        Label every batch through the depth cascade: screen at a
+        reduced bisection depth, then resume only the rows still inside
+        their level's guard band through deeper levels until each sign
+        is settled (default on; ``False`` restores the fixed-budget
+        exact path).
     coarse_iterations:
-        Bisection depth of the screening solve (the exact path uses the
-        solver default of 40).  Lower is cheaper but widens the guard
-        band, refining more samples; the floor of 8 is the solver's own.
+        Bisection depth of the screening solve, the cascade's first
+        level (the exact path uses the solver default of 40).  The
+        default 8 is the solver's own floor: rows the shallow screen
+        cannot settle move on to the next cascade level rather than
+        straight to full depth, so a deeper screen only costs more.
     guard_safety:
-        Multiplier on the analytic coarse-vs-exact margin error bound.
-        Must be >= 1 for the label-exactness guarantee; the default 2
-        doubles the (already conservative) bound to cover the
-        interpolation corner cases discussed in ``docs/PERFORMANCE.md``
-        -- empirically the bound itself has >3x headroom over the worst
-        observed coarse error.
+        Multiplier on the analytic depth-``k``-vs-exact margin error
+        bound at every cascade level.  Must be >= 1 for the
+        label-exactness guarantee; the default 2 doubles the (already
+        conservative) bound to cover the interpolation corner cases
+        discussed in ``docs/PERFORMANCE.md`` -- empirically the bound
+        itself has >3x headroom over the worst observed error at every
+        depth.
     cache_entries:
         LRU capacity of the :class:`~repro.perf.cache.SolveCache`
         (entries, not bytes; one entry is ~100 B).  0 disables caching.
@@ -60,13 +65,14 @@ class PerfConfig:
         :mod:`repro.xp`).
     label_batch:
         Optional override of the evaluator's per-solver-call row cap
-        (default: the evaluator's ``max_batch``, 4096).  Purely a
-        peak-memory/speed trade -- slicing is row-independent, so any
-        value returns bit-identical labels.
+        (default: :data:`repro.perf.batch.SLICE_ROWS`, 256, sized so a
+        slice's scratch stays cache-resident).  Purely a memory/speed
+        trade -- slicing is row-independent, so any value returns
+        bit-identical labels.
     """
 
     adaptive: bool = True
-    coarse_iterations: int = 12
+    coarse_iterations: int = 8
     guard_safety: float = 2.0
     cache_entries: int = 100_000
     cache_path: str | None = None

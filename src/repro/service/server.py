@@ -59,6 +59,31 @@ from repro.service.store import JobStore
 #: how often blocked waits re-check the shutdown flag [s].
 _POLL_S = 0.2
 
+#: the event kinds that announce each terminal record state.  Workers
+#: settle the record before they append its event, so a follow stream
+#: that sees a terminal record waits for the matching event.
+_TERMINAL_EVENTS = {
+    JobState.DONE: frozenset({"done", "cache-hit"}),
+    JobState.CANCELLED: frozenset({"cancelled"}),
+    JobState.DEAD: frozenset({"dead"}),
+    JobState.FAILED: frozenset({"failed"}),
+}
+
+#: how long a follow stream waits for a terminal record's event before
+#: closing anyway (the append failed or the writer crashed) [s].
+_TERMINAL_EVENT_GRACE_S = 5.0
+
+
+def _stream_complete(store: JobStore, record: JobRecord,
+                     cursor: int) -> bool:
+    """Whether a follow stream at ``cursor`` has sent every event and
+    the last one announces ``record``'s terminal state."""
+    if not record.terminal:
+        return False
+    events = store.read_events(record.id)
+    return (len(events) <= cursor and bool(events)
+            and events[-1]["kind"] in _TERMINAL_EVENTS[record.state])
+
 
 class _LostRace(Exception):
     """Internal: a worker-side update found the record already settled
@@ -782,7 +807,7 @@ def _make_handler(daemon: ServiceDaemon) -> type[BaseHTTPRequestHandler]:
             self.send_header("Cache-Control", "no-store")
             self.end_headers()
             cursor = max(0, since)
-            idle_s = 0.0
+            idle_s = unannounced_s = 0.0
             while True:
                 events = daemon.store.read_events(job_id, since=cursor)
                 for event in events:
@@ -805,9 +830,12 @@ def _make_handler(daemon: ServiceDaemon) -> type[BaseHTTPRequestHandler]:
                 if not follow:
                     return
                 record = daemon.store.load(job_id)
-                if record.terminal and not daemon.store.read_events(
-                        job_id, since=cursor):
+                if _stream_complete(daemon.store, record, cursor):
                     return
+                if record.terminal:
+                    if unannounced_s >= _TERMINAL_EVENT_GRACE_S:
+                        return
+                    unannounced_s += _POLL_S
                 if daemon.coordinator.requested:
                     return
                 time.sleep(_POLL_S)

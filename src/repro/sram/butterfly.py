@@ -189,33 +189,42 @@ class ReadButterflySolver:
         return curves, BisectionState(side_a, side_b,
                                       self.bisection_iterations)
 
-    def resume(self, delta_vth: np.ndarray,
-               state: BisectionState) -> ButterflyCurves:
-        """Continue a shallower solve to this solver's full depth.
+    def resume(self, delta_vth: np.ndarray, state: BisectionState,
+               depth: int | None = None) -> ButterflyCurves:
+        """Continue a shallower solve to ``depth`` bisection steps.
 
-        The first ``state.iterations`` steps of a from-scratch solve
-        compute exactly the brackets ``state`` holds (same initial
-        interval, same deterministic comparisons), so the returned
-        curves are bit-identical to ``solve(delta_vth)`` at the cost of
-        only the remaining steps.  ``state`` is consumed: its arrays
-        are updated in place.
+        ``depth`` defaults to this solver's full depth.  The first
+        ``state.iterations`` steps of a from-scratch solve compute
+        exactly the brackets ``state`` holds (same initial interval,
+        same deterministic comparisons), so the returned curves are
+        bit-identical to a from-scratch ``depth``-step solve -- at full
+        depth, to ``solve(delta_vth)`` -- at the cost of only the
+        remaining steps.  ``state`` is advanced in place: afterwards it
+        holds the brackets at ``depth``, so a deeper call can resume
+        again from it.
         """
         delta_vth = self._check_shifts(delta_vth)
-        extra = self.bisection_iterations - state.iterations
-        if extra < 0:
+        depth = self.bisection_iterations if depth is None else int(depth)
+        if not state.iterations <= depth <= self.bisection_iterations:
             raise ValueError(
-                f"cannot resume a {state.iterations}-step solve with a "
-                f"{self.bisection_iterations}-step solver")
+                f"cannot resume a {state.iterations}-step solve to depth "
+                f"{depth} with a {self.bisection_iterations}-step solver")
+        extra = depth - state.iterations
         if self.batched and self._symmetric:
             start = (np.concatenate([state.side_a[0], state.side_b[0]]),
                      np.concatenate([state.side_a[1], state.side_b[1]]))
-            vtc_a, vtc_b = self._solve_fused(delta_vth, start=start,
-                                             iterations=extra)
+            (vtc_a, vtc_b), (side_a, side_b) = self._solve_fused(
+                delta_vth, start=start, iterations=extra,
+                depth_done=state.iterations, keep_state=True)
         else:
-            vtc_a = self._solve_side(0, delta_vth, start=state.side_a,
-                                     iterations=extra)
-            vtc_b = self._solve_side(1, delta_vth, start=state.side_b,
-                                     iterations=extra)
+            vtc_a, side_a = self._solve_side(
+                0, delta_vth, start=state.side_a, iterations=extra,
+                depth_done=state.iterations, keep_state=True)
+            vtc_b, side_b = self._solve_side(
+                1, delta_vth, start=state.side_b, iterations=extra,
+                depth_done=state.iterations, keep_state=True)
+        state.side_a, state.side_b = side_a, side_b
+        state.iterations = depth
         return ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
                                vdd=self.vdd)
 
@@ -269,7 +278,7 @@ class ReadButterflySolver:
                     wl_voltage: float | None = None,
                     start: tuple[np.ndarray, np.ndarray] | None = None,
                     iterations: int | None = None,
-                    keep_state: bool = False):
+                    depth_done: int = 0, keep_state: bool = False):
         names = self._side_names[side]
         idx = self._sides[side]
         models = tuple(self.cell.model(n) for n in names)
@@ -278,12 +287,12 @@ class ReadButterflySolver:
         dv_access = delta_vth[:, idx[2], None]
         return self._bisect(models, dv_load, dv_driver, dv_access,
                             bl_voltage, wl_voltage, start, iterations,
-                            keep_state)
+                            depth_done, keep_state)
 
     def _solve_fused(self, delta_vth: np.ndarray,
                      start: tuple[np.ndarray, np.ndarray] | None = None,
                      iterations: int | None = None,
-                     keep_state: bool = False):
+                     depth_done: int = 0, keep_state: bool = False):
         """Both sides as one (2B, G) bisection; rows [:B] are side A.
 
         Valid only for side-symmetric cells (checked at construction):
@@ -302,7 +311,8 @@ class ReadButterflySolver:
             [delta_vth[:, idx_a[2]], delta_vth[:, idx_b[2]]])[:, None]
         models = tuple(self.cell.model(n) for n in self._side_names[0])
         result = self._bisect(models, dv_load, dv_driver, dv_access,
-                              None, None, start, iterations, keep_state)
+                              None, None, start, iterations, depth_done,
+                              keep_state)
         if keep_state:
             mid, (lo, hi) = result
             return ((mid[:batch], mid[batch:]),
@@ -310,8 +320,13 @@ class ReadButterflySolver:
         return result[:batch], result[batch:]
 
     def _bisect(self, models, dv_load, dv_driver, dv_access,
-                bl_voltage, wl_voltage, start, iterations, keep_state):
+                bl_voltage, wl_voltage, start, iterations, depth_done,
+                keep_state):
         """Shared bisection engine over an (N, G) bracket block.
+
+        Runs ``iterations`` steps (default: the full depth) from the
+        brackets ``start``, which already encode ``depth_done`` steps
+        (0 for a from-scratch solve).
 
         Maintains the invariant ``0 <= lo <= mid <= hi <= vdd`` (the
         initial brackets span ``[0, vdd]`` and every update replaces an
@@ -330,8 +345,6 @@ class ReadButterflySolver:
             lo, hi = start  # resumed brackets, consumed by the solve
         steps = (self.bisection_iterations if iterations is None
                  else iterations)
-        # bisection depth the brackets already encode (resumed solves)
-        depth_done = self.bisection_iterations - steps
         if not self.backend.native_numpy:
             return self._bisect_generic(models, vin, lo, hi, dv_load,
                                         dv_driver, dv_access, bl, wl,

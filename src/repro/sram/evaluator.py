@@ -45,7 +45,9 @@ class CellEvaluator:
     vdd:
         Supply voltage [V]; defaults to the cell's.
     max_batch:
-        Internal chunk size bounding peak memory of the vectorised solve.
+        Rows per solver call; ``None`` takes the planner's default
+        (:data:`repro.perf.batch.SLICE_ROWS`, sized to keep one slice's
+        scratch cache-resident).
     cache:
         Optional :class:`~repro.perf.cache.SolveCache`; solved margins
         are memoised per exact ΔVth byte pattern, and hits return the
@@ -54,7 +56,7 @@ class CellEvaluator:
 
     def __init__(self, cell: SramCell, space: VariabilitySpace,
                  vdd: float | None = None, grid_points: int = 61,
-                 margin_levels: int = 64, max_batch: int = 4096,
+                 margin_levels: int = 64, max_batch: int | None = None,
                  cache: "SolveCache | None" = None, batched: bool = True,
                  array_backend=None, planner=None):
         from repro.perf.batch import BatchPlanner  # local, no cycle
@@ -62,7 +64,7 @@ class CellEvaluator:
         if space.dim != 6:
             raise ValueError(
                 f"cell evaluator needs a 6-D space, got {space.dim}")
-        if max_batch < 1:
+        if max_batch is not None and max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.cell = cell
         self.space = space
@@ -71,12 +73,14 @@ class CellEvaluator:
                                           batched=batched,
                                           array_backend=array_backend)
         self.margin_levels = margin_levels
-        self.max_batch = max_batch
         self.cache = cache
-        #: slice planner for label/margin requests; defaults to the
-        #: legacy ``max_batch`` stride (bit-identical by construction)
-        self.planner = (planner if planner is not None
-                        else BatchPlanner(max_batch=max_batch))
+        #: slice planner for label/margin requests; slicing is
+        #: bit-identical by construction, so it is a cost choice only
+        if planner is None:
+            planner = (BatchPlanner() if max_batch is None
+                       else BatchPlanner(max_batch=max_batch))
+        self.planner = planner
+        self.max_batch = planner.max_batch
         # perf-counter deltas absorbed from out-of-process workers,
         # reported by perf_stats() next to the in-process counters
         self._external_stats: dict[str, int] = {}
@@ -153,9 +157,8 @@ class CellEvaluator:
         """Boolean failure labels (margin < 0) for whitened points.
 
         The label entry point the indicators funnel through; the
-        adaptive subclass overrides it with the coarse-screen /
-        exact-refine path while this base implementation is the plain
-        exact sign.
+        adaptive subclass overrides it with the depth cascade while
+        this base implementation is the plain exact sign.
         """
         rnm0, rnm1 = self.margins(x)
         return self._select_margin(rnm0, rnm1, which) < 0.0

@@ -42,6 +42,9 @@ def batched_interp(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
         Sample ordinates, shape (B, G).
     xq:
         Query abscissae, shape (K,) shared across rows or (B, K) per row.
+        Sorted shared queries (every :func:`lobe_margins` call) take an
+        O(B * (G log K + K)) counting path; it returns the same bits as
+        the O(B * G * K) comparison the other shapes use.
 
     Returns
     -------
@@ -54,15 +57,20 @@ def batched_interp(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"x and y must both be (B, G), got {x.shape} and {y.shape}")
     xq = np.asarray(xq, dtype=float)
-    if xq.ndim == 1:
+    if xq.ndim == 1 and bool(np.all(xq[1:] >= xq[:-1])):
+        counts = _counts_sorted(x, xq)
         xq = np.broadcast_to(xq, (x.shape[0], xq.size))
-    if xq.ndim != 2 or xq.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"xq must be (K,) or (B, K), got {xq.shape} for B={x.shape[0]}")
+    else:
+        if xq.ndim == 1:
+            xq = np.broadcast_to(xq, (x.shape[0], xq.size))
+        if xq.ndim != 2 or xq.shape[0] != x.shape[0]:
+            raise ValueError(
+                f"xq must be (K,) or (B, K), got {xq.shape} for "
+                f"B={x.shape[0]}")
+        counts = np.sum(x[:, :, None] <= xq[:, None, :], axis=1)
 
-    # Count samples <= query -> right-bracket index in [1, G-1].
-    idx = np.sum(x[:, :, None] <= xq[:, None, :], axis=1)
-    idx = np.clip(idx, 1, x.shape[1] - 1)
+    # Count of samples <= query -> right-bracket index in [1, G-1].
+    idx = np.clip(counts, 1, x.shape[1] - 1)
     x0 = np.take_along_axis(x, idx - 1, axis=1)
     x1 = np.take_along_axis(x, idx, axis=1)
     y0 = np.take_along_axis(y, idx - 1, axis=1)
@@ -71,6 +79,24 @@ def batched_interp(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     t = np.where(span > 0, (xq - x0) / np.where(span > 0, span, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
     return y0 + t * (y1 - y0)
+
+
+def _counts_sorted(x: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """``count[b, k] = #{g : x[b, g] <= xq[k]}`` for sorted ``xq``.
+
+    The same integers as the ``(B, G, K)`` broadcast comparison, in
+    O(B * (G log K + K)) work: sample ``x[b, g]`` is ``<=`` exactly the
+    queries from ``searchsorted(xq, x[b, g], side="left")`` on, so a
+    per-row histogram of those first indices, cumulated over ``k``,
+    counts every (sample, query) pair the comparison would.  Nothing
+    assumes ``x`` is sorted along a row, and NaN samples land past the
+    last query, matching ``nan <= q`` being false.
+    """
+    batch, n_queries = x.shape[0], xq.size
+    first = np.searchsorted(xq, x, side="left")
+    first += (n_queries + 1) * np.arange(batch)[:, None]
+    hist = np.bincount(first.ravel(), minlength=batch * (n_queries + 1))
+    return np.cumsum(hist.reshape(batch, n_queries + 1), axis=1)[:, :-1]
 
 
 def _rotated(curve_x: np.ndarray, curve_y: np.ndarray

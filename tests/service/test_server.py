@@ -9,6 +9,7 @@ from repro.errors import ServiceError, ShutdownRequested
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.model import JobState
 from repro.service.scheduler import QuotaPolicy
+from repro.service import server as server_module
 from repro.service.server import ServeConfig, ServiceDaemon
 from repro.service.spec import JobSpec
 from repro.service.worker import execute_job
@@ -300,6 +301,41 @@ class TestHttpSurface:
         record = client.submit(SPEC.as_dict())
         kinds = [e["kind"] for e in client.stream_events(record["id"])]
         assert kinds[-1] == "done"
+
+    def test_event_stream_waits_for_a_late_terminal_event(
+            self, live, monkeypatch):
+        """The worker settles the record before it appends ``done``; a
+        follow stream polling in between must not close early."""
+        daemon, client = live
+        append = daemon.store.append_event
+
+        def late_terminal(job_id, kind, at, **payload):
+            if kind == "done":
+                time.sleep(4 * server_module._POLL_S)
+            append(job_id, kind, at, **payload)
+
+        monkeypatch.setattr(daemon.store, "append_event", late_terminal)
+        record = client.submit(SPEC.as_dict())
+        kinds = [e["kind"] for e in client.stream_events(record["id"])]
+        assert kinds[-1] == "done"
+        assert kinds.count("done") == 1
+
+    def test_event_stream_closes_if_the_terminal_event_never_lands(
+            self, live, monkeypatch):
+        daemon, client = live
+        append = daemon.store.append_event
+
+        def lost_terminal(job_id, kind, at, **payload):
+            if kind != "done":
+                append(job_id, kind, at, **payload)
+
+        monkeypatch.setattr(daemon.store, "append_event", lost_terminal)
+        monkeypatch.setattr(server_module, "_TERMINAL_EVENT_GRACE_S",
+                            0.6)
+        record = client.submit(SPEC.as_dict())
+        kinds = [e["kind"] for e in client.stream_events(record["id"])]
+        assert "done" not in kinds
+        assert client.job(record["id"])["state"] == "done"
 
     def test_unknown_job_is_404(self, live):
         daemon, client = live

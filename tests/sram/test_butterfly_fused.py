@@ -58,6 +58,44 @@ class TestFusionBitIdentity:
         assert np.array_equal(resumed.vtc_a, want.vtc_a)
         assert np.array_equal(resumed.vtc_b, want.vtc_b)
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_resume_in_stages_matches_full_solve(self, paper_cell,
+                                                 shifts, batched):
+        coarse = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=8,
+                                     batched=batched)
+        exact = ReadButterflySolver(paper_cell, grid_points=21,
+                                    batched=batched)
+        want = exact.solve(shifts)
+        mid_want = ReadButterflySolver(paper_cell, grid_points=21,
+                                       bisection_iterations=16,
+                                       batched=batched).solve(shifts)
+        before = exact.model_evals
+        _, state = coarse.solve_with_state(shifts)
+        exact.resume(shifts, state, 12)
+        assert state.iterations == 12
+        mid = exact.resume(shifts, state, 16)
+        assert state.iterations == 16
+        assert np.array_equal(mid.vtc_a, mid_want.vtc_a)
+        assert np.array_equal(mid.vtc_b, mid_want.vtc_b)
+        full = exact.resume(shifts, state)
+        assert state.iterations == 40
+        assert np.array_equal(full.vtc_a, want.vtc_a)
+        assert np.array_equal(full.vtc_b, want.vtc_b)
+        # staged resumes cost exactly the from-scratch solve
+        assert coarse.model_evals + exact.model_evals - before \
+            == 2 * want.vtc_a.size * 40
+
+    def test_resume_depth_bounds(self, paper_cell, shifts):
+        coarse = ReadButterflySolver(paper_cell, grid_points=21,
+                                     bisection_iterations=12)
+        exact = ReadButterflySolver(paper_cell, grid_points=21)
+        _, state = coarse.solve_with_state(shifts)
+        with pytest.raises(ValueError, match="cannot resume"):
+            exact.resume(shifts, state, 10)
+        with pytest.raises(ValueError, match="cannot resume"):
+            exact.resume(shifts, state, 41)
+
     def test_fused_eval_count_matches_legacy(self, paper_cell, shifts):
         fused, legacy = solver_pair(paper_cell)
         fused.solve(shifts)

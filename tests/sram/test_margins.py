@@ -65,6 +65,83 @@ class TestBatchedInterp:
         assert np.isfinite(out[0, 0])
 
 
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestCountingPath:
+    """Sorted shared queries take the O(B * (G + K)) counting path; it
+    must return the broadcast path's bits on any input."""
+
+    @staticmethod
+    def both_paths(x, y, xq):
+        shared = batched_interp(x, y, xq)
+        per_row = batched_interp(x, y,
+                                 np.broadcast_to(xq, (x.shape[0], xq.size)))
+        return shared, per_row
+
+    @given(st.integers(0, 10_000), st.integers(2, 40), st.integers(1, 70),
+           st.sampled_from(["sorted", "shuffled", "ties", "on-samples"]))
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical_to_broadcast(self, seed, g, k, kind):
+        rng = np.random.default_rng(seed)
+        b = int(rng.integers(1, 6))
+        x = rng.uniform(-1.0, 1.0, size=(b, g))
+        if kind == "sorted":
+            x = np.sort(x, axis=1)
+        elif kind == "ties":
+            # coarse rounding makes repeated abscissae within a row
+            x = np.round(np.sort(x, axis=1) * 4.0) / 4.0
+        y = rng.normal(size=(b, g))
+        xq = np.sort(rng.uniform(-1.2, 1.2, size=k))
+        if kind == "on-samples":
+            xq = np.sort(rng.choice(x.ravel(), size=k))
+        shared, per_row = self.both_paths(x, y, xq)
+        assert _bits(shared) == _bits(per_row)
+
+    @pytest.mark.parametrize("g, k", [(2, 1), (2, 5), (9, 1)])
+    def test_smallest_shapes(self, g, k):
+        rng = np.random.default_rng(g * 10 + k)
+        x = rng.normal(size=(4, g))
+        y = rng.normal(size=(4, g))
+        xq = np.sort(rng.normal(size=k))
+        shared, per_row = self.both_paths(x, y, xq)
+        assert shared.shape == (4, k)
+        assert _bits(shared) == _bits(per_row)
+
+    def test_duplicate_queries_and_nan_samples(self):
+        x = np.array([[0.0, np.nan, 0.5, 1.0], [1.0, 0.0, 0.5, 0.5]])
+        y = np.arange(8.0).reshape(2, 4)
+        xq = np.array([0.0, 0.5, 0.5, 1.0])
+        shared, per_row = self.both_paths(x, y, xq)
+        assert _bits(shared) == _bits(per_row)
+
+    def test_margins_use_the_counting_path(self, monkeypatch):
+        import repro.sram.margins as margins
+
+        calls = []
+        original = margins._counts_sorted
+        monkeypatch.setattr(margins, "_counts_sorted",
+                            lambda x, xq: calls.append(1)
+                            or original(x, xq))
+        lobe_margins(ideal_inverter_curves(points=61), 64)
+        assert len(calls) == 4
+
+    def test_per_row_and_unsorted_queries_keep_the_broadcast(
+            self, monkeypatch):
+        import repro.sram.margins as margins
+
+        def forbidden(x, xq):
+            raise AssertionError("counting path used")
+
+        monkeypatch.setattr(margins, "_counts_sorted", forbidden)
+        x = np.array([[0.0, 1.0], [0.0, 2.0]])
+        y = np.array([[0.0, 1.0], [0.0, 2.0]])
+        batched_interp(x, y, np.array([[0.5], [1.0]]))
+        out = batched_interp(x, y, np.array([1.0, 0.5]))
+        assert out[0].tolist() == [1.0, 0.5]
+
+
 class TestIdealCurves:
     def test_symmetric_ideal_snm(self):
         """Two ideal inverters with trip at vdd/2 embed a vdd/2 square."""
