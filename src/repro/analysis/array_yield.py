@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 from repro.analysis.ecc import log1mexp, log_binom_sf
 
@@ -197,5 +196,7 @@ def failures_quantile(cell_pfail: float, n_cells: int,
     """Upper quantile of the failing-cell count (Poisson approximation)."""
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must lie in (0, 1)")
+    from scipy.stats import poisson
+
     mean = expected_failures(cell_pfail, n_cells)
     return int(poisson.ppf(quantile, mean))

@@ -40,8 +40,6 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom
 
 from repro.analysis.tables import format_table
 
@@ -99,6 +97,8 @@ def log1mexp(x: float) -> float:
 
 
 def _log_binom_pmf(j: int, n: int, log_p: float, log_q: float) -> float:
+    from scipy.special import gammaln
+
     coeff = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
     return float(coeff + j * log_p + (n - j) * log_q)
 
@@ -126,6 +126,10 @@ def log_binom_sf(k: int, n: int, p: float) -> float:
         return -math.inf
     if p == 1.0:  # repro: allow-float-eq
         return 0.0
+    # scipy.stats costs ~1.2 s to import: load it here, not with the
+    # package, so processes that never reach the ECC layer skip it
+    from scipy.stats import binom
+
     linear = float(binom.sf(k, n, p))
     if linear > _LINEAR_SF_FLOOR:
         return math.log(linear)

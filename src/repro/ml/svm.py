@@ -26,7 +26,6 @@ Two properties matter for this package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.errors import ClassifierError
 
@@ -101,6 +100,9 @@ class LinearSvm:
             value = 0.5 * (w @ w) + np.sum(costs * active * active)
             grad = w - x.T @ (2.0 * costs * active * y)
             return value, grad
+
+        # scipy.optimize costs ~0.6 s to import; only a fit needs it
+        from scipy.optimize import minimize
 
         result = minimize(objective, w0, jac=True, method="L-BFGS-B",
                           options={"maxiter": self.max_iterations,
