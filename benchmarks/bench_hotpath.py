@@ -23,11 +23,14 @@ separate gates, each of which must pass on its own: the fused
 single-sample solve is >= 1.5x faster on wall time, and the sweep-level
 eval reduction holds >= 2x.
 
-The cascade gate checks that depth-cascade labels match the exact path
-on bulk and planted near-boundary batches (both lobes' criteria) and
-reports how many rows reached each cascade depth plus the sweep's eval
-reduction.  The split gates are checked once the record is saved, so a
-failing gate still leaves its numbers behind.
+The cascade block checks two gates on bulk and planted near-boundary
+batches (both lobes' criteria): cascade labels match the exact path
+(``labels_identical``), and no row's exact margin ever leaves the
+corner-curve enclosure the cascade settles on, at any cascade depth
+(``enclosure_violations == 0``).  It also reports how many rows reached
+and settled at each cascade depth plus the sweep's eval reduction.  The
+split gates are checked once the record is saved, so a failing gate
+still leaves its numbers behind.
 
 Numbers land in root-level ``BENCH_hotpath.json``: the ``latest`` block
 plus an appended ``runs`` trajectory.  ``--quick`` shrinks budgets for
@@ -56,7 +59,9 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.setup import paper_setup
 from repro.perf import PerfConfig, save_registered_caches
 import repro.perf as perf_pkg
-from repro.perf.adaptive import AdaptiveMarginEvaluator
+from repro.perf.adaptive import (CASCADE_DEPTHS, CRITERION_LOBES,
+                                 AdaptiveMarginEvaluator, bound_tag,
+                                 corner_margin)
 from repro.perf.cache import LEVELS, SolveCache
 from repro.perf.report import collect_perf, merge_perf
 from repro.runtime import ExecutionConfig
@@ -386,20 +391,53 @@ def planted_boundary_points(exact, which: str, rng,
     return np.vstack([directions * (radius * s)[:, None] for s in scales])
 
 
+def enclosure_violations(exact, x: np.ndarray, which: str
+                         ) -> tuple[int, int]:
+    """Rows whose exact margin leaves its enclosure at some depth.
+
+    Resumes one bisection through every cascade depth below the exact
+    one and checks ``lower <= m_40 <= upper`` with both corner bounds
+    computed for every row.  Returns ``(violations, unguarded)``, the
+    second counting rows whose corner curves failed the precondition
+    at some depth (their infinite bound cannot be violated).
+    """
+    e0, e1 = exact.margins(x)
+    margin = np.minimum(e0, e1) if which == "cell" else e0
+    dvth = exact.space.to_physical(x)
+    solver = exact.solver
+    bad = np.zeros(x.shape[0], dtype=bool)
+    unguarded = np.zeros(x.shape[0], dtype=bool)
+    state = None
+    for depth in CASCADE_DEPTHS:
+        if state is None:
+            _, state = solver.solve_with_state(dvth, depth)
+        else:
+            solver.resume(dvth, state, depth)
+        bounds = [np.minimum.reduce([
+            corner_margin(state, solver.grid, exact.vdd,
+                          exact.margin_levels, lobe, bound)
+            for lobe in CRITERION_LOBES[which]])
+            for bound in ("lower", "upper")]
+        bad |= (margin < bounds[0]) | (margin > bounds[1])
+        unguarded |= ~(np.isfinite(bounds[0]) & np.isfinite(bounds[1]))
+    return int(bad.sum()), int(unguarded.sum())
+
+
 def bench_cascade(quick: bool, sweep: dict) -> dict:
-    """Gate: depth-cascade labels equal the exact path's, bit for bit.
+    """Gates: cascade labels equal the exact path's, bit for bit, and
+    every exact margin stays inside its enclosure at every depth.
 
     Bulk samples mostly settle at the screening depth; the planted
     near-boundary rows walk the cascade down to the exact depth.  The
     per-level counts come from the cache's level tags.
     """
-    print("== depth cascade: labels vs exact path ==")
+    print("== enclosure cascade: labels vs exact path ==")
     setup = paper_setup(alpha=0.3, perf=PerfConfig.exact())
     exact = setup.evaluator
     rng = np.random.default_rng(SEED)
     n_bulk, n_rays = (2000, 12) if quick else (20000, 48)
     rows = {}
-    mismatches = 0
+    mismatches = violations = 0
     for which in ("cell", "lobe0"):
         x = np.vstack([rng.normal(size=(n_bulk, 6)),
                        rng.normal(scale=3.0, size=(n_bulk, 6)),
@@ -408,26 +446,40 @@ def bench_cascade(quick: bool, sweep: dict) -> dict:
         fast.cache = SolveCache(fast.solve_fingerprint())
         labels = fast.failure_labels(x, which)
         mismatches += int(np.sum(labels != exact.failure_labels(x, which)))
+        bad, unguarded = enclosure_violations(exact, x, which)
+        violations += bad
         stored = np.bincount(fast.cache.state()["levels"],
                              minlength=len(LEVELS))
-        reached = [int(stored[LEVELS.index(tag)])
-                   for _, tag, _ in fast.cascade]
+        reached = [int(stored[LEVELS.index(
+            "exact" if depth == fast.cascade[-1] else bound_tag(depth, 0))])
+            for depth in fast.cascade]
+        settled = [n - deeper for n, deeper in zip(reached,
+                                                  reached[1:] + [0])]
         rows[which] = {
             "rows": int(x.shape[0]),
-            "reached_per_depth": {
-                str(depth): n for (depth, _, _), n in
-                zip(fast.cascade, reached)},
+            "reached_per_depth": dict(zip(map(str, fast.cascade),
+                                          reached)),
+            "settled_per_depth": dict(zip(map(str, fast.cascade),
+                                          settled)),
+            "enclosure_violations": bad,
+            "precondition_failures": unguarded,
             "device_model_evals": fast.device_model_evals,
         }
-        print(f"  {which:5s} {x.shape[0]:>6,} rows, reached per depth: "
-              + ", ".join(f"{depth}:{n}" for (depth, _, _), n
-                          in zip(fast.cascade, reached)))
+        print(f"  {which:5s} {x.shape[0]:>6,} rows, settled per depth: "
+              + ", ".join(f"{depth}:{n}" for depth, n
+                          in zip(fast.cascade, settled))
+              + f"; {bad} enclosure violations")
     print(f"  sweep eval reduction {sweep['eval_reduction']:.2f}x")
-    gates = {"labels_identical": mismatches == 0}
+    gates = {"labels_identical": mismatches == 0,
+             "enclosure_violations": violations == 0}
     print(f"  gate labels_identical: "
           f"{'pass' if gates['labels_identical'] else 'FAIL'} "
           f"({mismatches} mismatches)")
-    return {"gates": gates, "mismatches": mismatches, "by_criterion": rows,
+    print(f"  gate enclosure_violations == 0: "
+          f"{'pass' if gates['enclosure_violations'] else 'FAIL'} "
+          f"({violations} rows)")
+    return {"gates": gates, "mismatches": mismatches,
+            "enclosure_violations": violations, "by_criterion": rows,
             "sweep_eval_reduction": sweep["eval_reduction"]}
 
 

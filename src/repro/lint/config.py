@@ -235,9 +235,8 @@ FINGERPRINT_CONTRACTS: tuple[FingerprintContract, ...] = (
     FingerprintContract(
         cls="repro.perf.config.PerfConfig",
         excluded=frozenset({
-            "adaptive", "coarse_iterations", "guard_safety",
-            "cache_entries", "cache_path", "batched", "array_backend",
-            "label_batch",
+            "adaptive", "cache_entries", "cache_path", "batched",
+            "array_backend", "label_batch",
         })),
 )
 

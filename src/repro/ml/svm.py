@@ -7,10 +7,16 @@ Solves
     \\min_w \\; \\tfrac12 \\|w\\|^2 + \\sum_i C_i \\max(0, 1 - y_i w^T x_i)^2
 
 -- the "L2-loss" primal formulation that LIBLINEAR also offers.  The
-objective is once-differentiable and convex, so a vectorised L-BFGS solve
-converges in a few dozen iterations regardless of sample count; that keeps
-classifier (re)training negligible next to transistor-level simulation,
-which is the accounting the paper relies on.
+objective is once-differentiable and convex and is minimised by L-BFGS.
+On the estimator's degree-4 polynomial features the solve does *not*
+converge: every fit of the quick Fig. 8 sweep (128 fits over pool seeds
+1-10) stops at the ``max_iterations`` cap of 200 with ``|grad|_inf`` up
+to ~70 (median ~4) against ``tolerance=1e-7``.  The cap therefore acts
+as early stopping, and the estimates depend on it; a faster solver has
+to reproduce these capped iterates, not the optimum.  Retraining is not
+negligible next to this repo's vectorised simulation either: fitting
+takes about 36% of that sweep's wall time with ``OPENBLAS_NUM_THREADS=1``
+(2-vCPU Xeon).
 
 No intercept term is kept: callers include a constant feature (the
 polynomial map in :mod:`repro.ml.features` does).

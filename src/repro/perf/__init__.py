@@ -3,9 +3,9 @@
 Three cooperating pieces, all result-neutral:
 
 * :class:`~repro.perf.adaptive.AdaptiveMarginEvaluator` -- labels
-  each sample at the shallowest bisection depth whose provably safe
-  guard band settles its sign (labels bit-identical to the exact
-  path);
+  each sample at the shallowest bisection depth whose brackets enclose
+  its exact margin on one side of zero (labels bit-identical to the
+  exact path);
 * :class:`~repro.perf.cache.SolveCache` -- an LRU memo of butterfly
   solves keyed on exact ΔVth bytes plus a solve-configuration
   fingerprint, shared across sweeps, repeats and checkpoint resume;
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
+from repro.perf.adaptive import AdaptiveMarginEvaluator
 from repro.perf.batch import BatchPlanner
 from repro.perf.cache import SolveCache
 from repro.perf.config import PerfConfig
@@ -43,7 +43,6 @@ __all__ = [
     "StageProfiler",
     "build_evaluator",
     "collect_perf",
-    "margin_guard_band",
     "merge_perf",
     "merge_spans",
     "render_json",
@@ -75,9 +74,8 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
     if perf.adaptive:
         evaluator = AdaptiveMarginEvaluator(
             cell, space, vdd=vdd, grid_points=grid_points,
-            coarse_iterations=perf.coarse_iterations,
-            guard_safety=perf.guard_safety, batched=perf.batched,
-            array_backend=backend, planner=planner)
+            batched=perf.batched, array_backend=backend,
+            planner=planner)
     else:
         evaluator = CellEvaluator(cell, space, vdd=vdd,
                                   grid_points=grid_points,
@@ -86,8 +84,8 @@ def build_evaluator(cell: SramCell, space: VariabilitySpace,
                                   planner=planner)
     if perf.caching:
         # Attach the cache after construction: the fingerprint comes
-        # from the finished evaluator, so the adaptive screening depth
-        # participates and stale coarse entries can never be loaded.
+        # from the finished evaluator, so the cascade's settling rule
+        # participates and stale bound entries can never be loaded.
         fingerprint = evaluator.solve_fingerprint()
         if perf.cache_path is not None:
             key = (str(Path(perf.cache_path).resolve()), fingerprint)

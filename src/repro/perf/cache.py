@@ -3,12 +3,12 @@
 :class:`SolveCache` memoises butterfly-solve results keyed on the exact
 ΔVth bytes of each sample plus a *fingerprint* of everything else that
 determines the solve (cell parameter cards, geometry, supply, grid,
-margin levels, bisection depths).  Identical shift vectors recur
-naturally: particle-filter resampling duplicates positions verbatim,
-discrete RTN occupancy draws collide, and the Fig. 8 duty-ratio sweep
-re-evaluates the shared boundary under every bias condition.  A hit
-returns the exact floats the original solve produced, so cached and
-uncached runs are bit-identical.
+margin levels, bisection depths, the label cascade's settling rule).
+Identical shift vectors recur naturally: particle-filter resampling
+duplicates positions verbatim, discrete RTN occupancy draws collide,
+and the Fig. 8 duty-ratio sweep re-evaluates the shared boundary under
+every bias condition.  A hit returns the exact floats the original
+solve produced, so cached and uncached runs are bit-identical.
 
 The cache is LRU-bounded, thread-safe (the thread backend labels chunks
 concurrently through one evaluator) and deliberately *empty after
@@ -30,13 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
-#: resolution levels a cache entry may be stored at: the exact solve,
-#: the adaptive screen and the intermediate depths of the adaptive
-#: label cascade (:data:`repro.perf.adaptive.CASCADE_DEPTHS`).
-#: Snapshots store a level by its index here, so levels are only ever
-#: appended.
+#: resolution levels a cache entry may be stored at: the exact solve's
+#: lobe margins, and one lobe's ``(lower, upper)`` margin enclosure at
+#: each depth of the adaptive label cascade
+#: (:func:`repro.perf.adaptive.bound_tag`).  Snapshots store a level by
+#: its index here, so levels are only ever appended; ``"coarse"`` and
+#: ``"depth-<k>"`` are the retired guard-band cascade's, which no
+#: current fingerprint writes.
 LEVELS = ("exact", "coarse", "depth-12", "depth-16", "depth-20",
-          "depth-24", "depth-32")
+          "depth-24", "depth-32") + tuple(
+    f"bound-{depth}-lobe{lobe}" for depth in (4, 8, 12, 16, 20, 24, 32)
+    for lobe in (0, 1))
 
 
 class SolveCache:
@@ -74,6 +78,15 @@ class SolveCache:
     def _key(level: str, row: np.ndarray) -> bytes:
         return level.encode() + b"|" + row.tobytes()
 
+    @staticmethod
+    def _keys(level: str, dvth: np.ndarray) -> list[bytes]:
+        """:meth:`_key` of every row of a C-contiguous (B, 6) batch."""
+        prefix = level.encode() + b"|"
+        raw = dvth.tobytes()
+        width = dvth.shape[1] * dvth.itemsize
+        return [prefix + raw[i:i + width]
+                for i in range(0, len(raw), width)]
+
     def lookup(self, level: str, dvth: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batch lookup; returns ``(hit_mask, rnm0, rnm1)``.
@@ -88,12 +101,13 @@ class SolveCache:
         hit = np.zeros(n, dtype=bool)
         rnm0 = np.zeros(n)
         rnm1 = np.zeros(n)
+        keys = self._keys(level, dvth)
         with self._lock:
-            for i in range(n):
-                entry = self._data.get(self._key(level, dvth[i]))
+            for i, key in enumerate(keys):
+                entry = self._data.get(key)
                 if entry is None:
                     continue
-                self._data.move_to_end(self._key(level, dvth[i]))
+                self._data.move_to_end(key)
                 hit[i] = True
                 rnm0[i], rnm1[i] = entry
             self.hits += int(hit.sum())
@@ -105,12 +119,13 @@ class SolveCache:
         """Insert solved rows (evicting LRU entries beyond capacity)."""
         if level not in LEVELS:
             raise ValueError(f"unknown cache level {level!r}")
-        dvth = np.ascontiguousarray(dvth, dtype=float)
+        keys = self._keys(level, np.ascontiguousarray(dvth, dtype=float))
+        values = zip(np.asarray(rnm0, dtype=float).tolist(),
+                     np.asarray(rnm1, dtype=float).tolist())
         with self._lock:
-            for i in range(dvth.shape[0]):
-                self._data[self._key(level, dvth[i])] = (
-                    float(rnm0[i]), float(rnm1[i]))
-                self._data.move_to_end(self._key(level, dvth[i]))
+            for key, value in zip(keys, values):
+                self._data[key] = value
+                self._data.move_to_end(key)
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
                 self.evictions += 1

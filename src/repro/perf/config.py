@@ -2,12 +2,13 @@
 
 :class:`PerfConfig` selects how aggressively the margin evaluator may
 trade per-sample work for speed.  Every setting is *result-neutral* by
-construction: the adaptive cascade deepens anything inside a provably
-safe guard band (see :mod:`repro.perf.adaptive`) and the solve cache
-returns the exact floats a fresh solve would produce, so estimates are
-bit-identical whether acceleration is on or off.  The config therefore
-deliberately does **not** participate in checkpoint fingerprints, just
-like :class:`~repro.runtime.config.ExecutionConfig`.
+construction: the adaptive cascade deepens every row whose exact
+margin enclosure still straddles zero (see :mod:`repro.perf.adaptive`)
+and the solve cache returns the exact floats a fresh solve would
+produce, so estimates are bit-identical whether acceleration is on or
+off.  The config therefore deliberately does **not** participate in
+checkpoint fingerprints, just like
+:class:`~repro.runtime.config.ExecutionConfig`.
 """
 
 from __future__ import annotations
@@ -22,25 +23,13 @@ class PerfConfig:
     Parameters
     ----------
     adaptive:
-        Label every batch through the depth cascade: screen at a
-        reduced bisection depth, then resume only the rows still inside
-        their level's guard band through deeper levels until each sign
-        is settled (default on; ``False`` restores the fixed-budget
-        exact path).
-    coarse_iterations:
-        Bisection depth of the screening solve, the cascade's first
-        level (the exact path uses the solver default of 40).  The
-        default 8 is the solver's own floor: rows the shallow screen
-        cannot settle move on to the next cascade level rather than
-        straight to full depth, so a deeper screen only costs more.
-    guard_safety:
-        Multiplier on the analytic depth-``k``-vs-exact margin error
-        bound at every cascade level.  Must be >= 1 for the
-        label-exactness guarantee; the default 2 doubles the (already
-        conservative) bound to cover the interpolation corner cases
-        discussed in ``docs/PERFORMANCE.md`` -- empirically the bound
-        itself has >3x headroom over the worst observed error at every
-        depth.
+        Label every batch through the enclosure cascade: screen at a
+        reduced bisection depth, then resume only the rows whose exact
+        margin enclosure still straddles zero through deeper levels
+        until each sign is settled (default on; ``False`` restores the
+        fixed-budget exact path).  The depths are the fixed
+        :data:`repro.perf.adaptive.CASCADE_DEPTHS`; the settling rule
+        is a proof, not a tolerance, so it has no knob.
     cache_entries:
         LRU capacity of the :class:`~repro.perf.cache.SolveCache`
         (entries, not bytes; one entry is ~100 B).  0 disables caching.
@@ -72,8 +61,6 @@ class PerfConfig:
     """
 
     adaptive: bool = True
-    coarse_iterations: int = 8
-    guard_safety: float = 2.0
     cache_entries: int = 100_000
     cache_path: str | None = None
     batched: bool = True
@@ -81,12 +68,6 @@ class PerfConfig:
     label_batch: int | None = None
 
     def __post_init__(self) -> None:
-        if self.coarse_iterations < 8:
-            raise ValueError("coarse_iterations must be >= 8")
-        if self.guard_safety < 1.0:
-            raise ValueError(
-                "guard_safety must be >= 1 (the guard band may only be "
-                "widened beyond the analytic bound, never narrowed)")
         if self.cache_entries < 0:
             raise ValueError("cache_entries must be >= 0")
         if not self.array_backend:

@@ -167,27 +167,36 @@ class ReadButterflySolver:
         return ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
                                vdd=self.vdd)
 
-    def solve_with_state(self, delta_vth: np.ndarray
+    def solve_with_state(self, delta_vth: np.ndarray,
+                         depth: int | None = None
                          ) -> tuple[ButterflyCurves, BisectionState]:
-        """:meth:`solve` that also returns the bisection brackets.
+        """:meth:`solve` to ``depth`` steps, returning the brackets too.
 
-        The state lets a deeper solver :meth:`resume` the bisection
-        instead of re-solving from scratch (the adaptive evaluator's
-        refinement path).
+        ``depth`` defaults to this solver's full depth; a shallower
+        solve runs the first ``depth`` steps of the full one, so the
+        returned state can :meth:`resume` the bisection later instead
+        of re-solving from scratch (the adaptive evaluator's label
+        cascade).
         """
         delta_vth = self._check_shifts(delta_vth)
+        depth = self.bisection_iterations if depth is None else int(depth)
+        if not 1 <= depth <= self.bisection_iterations:
+            raise ValueError(
+                f"depth must be in [1, {self.bisection_iterations}], "
+                f"got {depth}")
         if self.batched and self._symmetric:
-            (vtc_a, vtc_b), (side_a, side_b) = \
-                self._solve_fused(delta_vth, keep_state=True)
+            (vtc_a, vtc_b), (side_a, side_b) = self._solve_fused(
+                delta_vth, iterations=depth, keep_state=True)
         else:
             vtc_a, side_a = self._solve_side(0, delta_vth,
+                                             iterations=depth,
                                              keep_state=True)
             vtc_b, side_b = self._solve_side(1, delta_vth,
+                                             iterations=depth,
                                              keep_state=True)
         curves = ButterflyCurves(grid=self.grid, vtc_a=vtc_a, vtc_b=vtc_b,
                                  vdd=self.vdd)
-        return curves, BisectionState(side_a, side_b,
-                                      self.bisection_iterations)
+        return curves, BisectionState(side_a, side_b, depth)
 
     def resume(self, delta_vth: np.ndarray, state: BisectionState,
                depth: int | None = None) -> ButterflyCurves:

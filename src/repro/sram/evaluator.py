@@ -90,42 +90,6 @@ class CellEvaluator:
         return self.solver.vdd
 
     # ------------------------------------------------------------------
-    def _margins_at(self, x: np.ndarray, solver: ReadButterflySolver,
-                    level: str) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked, cache-aware lobe margins through ``solver``.
-
-        Each cache entry is keyed on the exact physical-ΔVth bytes under
-        ``level`` ("exact" or "coarse"); only missed rows hit the
-        solver.  The butterfly bisection and the margin extraction are
-        row-independent elementwise numpy ops, so solving a sub-batch
-        of missed rows returns the same bits a full-batch solve would.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != 6:
-            raise ValueError(f"x must have shape (B, 6), got {x.shape}")
-        rnm0 = np.empty(x.shape[0])
-        rnm1 = np.empty(x.shape[0])
-        for start, stop in self.planner.plan(x.shape[0],
-                                             self.solve_row_bytes):
-            dvth = self.space.to_physical(x[start:stop])
-            if self.cache is None:
-                curves = solver.solve(dvth)
-                r0, r1 = lobe_margins(curves, self.margin_levels)
-                rnm0[start:stop] = r0
-                rnm1[start:stop] = r1
-                continue
-            hit, c0, c1 = self.cache.lookup(level, dvth)
-            if not hit.all():
-                miss = ~hit
-                curves = solver.solve(dvth[miss])
-                r0, r1 = lobe_margins(curves, self.margin_levels)
-                self.cache.store(level, dvth[miss], r0, r1)
-                c0[miss] = r0
-                c1[miss] = r1
-            rnm0[start:stop] = c0
-            rnm1[start:stop] = c1
-        return rnm0, rnm1
-
     @staticmethod
     def _select_margin(rnm0: np.ndarray, rnm1: np.ndarray,
                        which: str) -> np.ndarray:
@@ -140,8 +104,38 @@ class CellEvaluator:
 
         ``x`` has shape (B, 6); entries are total (RDF + RTN) shifts in
         sigma units.  Always the exact (full bisection depth) solve.
+
+        Each cache entry is keyed on the exact physical-ΔVth bytes under
+        the ``"exact"`` level; only missed rows hit the solver.  The
+        butterfly bisection and the margin extraction are
+        row-independent elementwise numpy ops, so solving a sub-batch
+        of missed rows returns the same bits a full-batch solve would.
         """
-        return self._margins_at(x, self.solver, "exact")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != 6:
+            raise ValueError(f"x must have shape (B, 6), got {x.shape}")
+        rnm0 = np.empty(x.shape[0])
+        rnm1 = np.empty(x.shape[0])
+        for start, stop in self.planner.plan(x.shape[0],
+                                             self.solve_row_bytes):
+            dvth = self.space.to_physical(x[start:stop])
+            if self.cache is None:
+                curves = self.solver.solve(dvth)
+                r0, r1 = lobe_margins(curves, self.margin_levels)
+                rnm0[start:stop] = r0
+                rnm1[start:stop] = r1
+                continue
+            hit, c0, c1 = self.cache.lookup("exact", dvth)
+            if not hit.all():
+                miss = ~hit
+                curves = self.solver.solve(dvth[miss])
+                r0, r1 = lobe_margins(curves, self.margin_levels)
+                self.cache.store("exact", dvth[miss], r0, r1)
+                c0[miss] = r0
+                c1[miss] = r1
+            rnm0[start:stop] = c0
+            rnm1[start:stop] = c1
+        return rnm0, rnm1
 
     def cell_margin(self, x: np.ndarray) -> np.ndarray:
         """Worse-lobe margin, shape (B,)."""

@@ -69,12 +69,15 @@ def batched_interp(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
                 f"B={x.shape[0]}")
         counts = np.sum(x[:, :, None] <= xq[:, None, :], axis=1)
 
-    # Count of samples <= query -> right-bracket index in [1, G-1].
+    # Count of samples <= query -> right-bracket index in [1, G-1],
+    # gathered through flat row-major indices (same values as
+    # take_along_axis, without its per-call index grids).
     idx = np.clip(counts, 1, x.shape[1] - 1)
-    x0 = np.take_along_axis(x, idx - 1, axis=1)
-    x1 = np.take_along_axis(x, idx, axis=1)
-    y0 = np.take_along_axis(y, idx - 1, axis=1)
-    y1 = np.take_along_axis(y, idx, axis=1)
+    idx += x.shape[1] * np.arange(x.shape[0])[:, None]
+    x_flat, y_flat = x.ravel(), y.ravel()
+    x1, y1 = x_flat.take(idx), y_flat.take(idx)
+    idx -= 1
+    x0, y0 = x_flat.take(idx), y_flat.take(idx)
     span = x1 - x0
     t = np.where(span > 0, (xq - x0) / np.where(span > 0, span, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
@@ -107,8 +110,28 @@ def _rotated(curve_x: np.ndarray, curve_y: np.ndarray
     return v, u
 
 
-def lobe_margins(curves: ButterflyCurves, levels: int = 96
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _rotated_curves(curves: ButterflyCurves
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
+    """``(v_a, u_a, v_b, u_b)`` of both curves, each (B, G).
+
+    Both abscissae run in increasing order along axis 1 for monotone
+    VTCs, which is what :func:`batched_interp` needs.
+    """
+    grid = curves.grid
+    batch = curves.batch_size
+    # Curve B points: (q, qb) = (grid, vtc_b); v decreases along the grid.
+    v_b, u_b = _rotated(np.broadcast_to(grid, (batch, grid.size)),
+                        curves.vtc_b)
+    # Curve A points: (q, qb) = (vtc_a, grid); v increases along the grid.
+    v_a, u_a = _rotated(curves.vtc_a,
+                        np.broadcast_to(grid, (batch, grid.size)))
+    # batched_interp needs increasing abscissae: flip curve B.
+    return v_a, u_a, v_b[:, ::-1], u_b[:, ::-1]
+
+
+def lobe_margins(curves: ButterflyCurves, levels: int = 96,
+                 lobes: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
     """Signed read noise margins of both lobes for a batch of cells.
 
     Parameters
@@ -118,39 +141,50 @@ def lobe_margins(curves: ButterflyCurves, levels: int = 96
         :class:`~repro.sram.butterfly.ReadButterflySolver`.
     levels:
         Number of 45-degree cut levels scanned per lobe.
+    lobes:
+        Which lobes to extract, in output order.  Each lobe is computed
+        independently, so ``lobes=(1,)`` returns the same bits as the
+        second array of the default call at half the cost.
 
     Returns
     -------
-    ``(rnm0, rnm1)`` arrays of shape (B,): the margins of the stored-"0"
-    lobe (upper-left) and the stored-"1" lobe (lower-right).  Negative
-    values mean the lobe has collapsed (read failure for that state).
+    ``(rnm0, rnm1)`` arrays of shape (B,) by default: the margins of the
+    stored-"0" lobe (upper-left) and the stored-"1" lobe (lower-right).
+    Negative values mean the lobe has collapsed (read failure for that
+    state).
     """
     if levels < 8:
         raise ValueError(f"levels must be >= 8, got {levels}")
-    grid = curves.grid
-    batch = curves.batch_size
-
-    # Curve B points: (q, qb) = (grid, vtc_b); v decreases along the grid.
-    v_b, u_b = _rotated(np.broadcast_to(grid, (batch, grid.size)),
-                        curves.vtc_b)
-    # Curve A points: (q, qb) = (vtc_a, grid); v increases along the grid.
-    v_a, u_a = _rotated(curves.vtc_a,
-                        np.broadcast_to(grid, (batch, grid.size)))
-
-    # batched_interp needs increasing abscissae: flip curve B.
-    v_b = v_b[:, ::-1]
-    u_b = u_b[:, ::-1]
-
+    if not set(lobes) <= {0, 1}:
+        raise ValueError(f"lobes must be 0 or 1, got {lobes}")
+    v_a, u_a, v_b, u_b = _rotated_curves(curves)
     vmax = curves.vdd / _SQRT2
-    vq0 = np.linspace(0.0, vmax, levels)
-    vq1 = np.linspace(-vmax, 0.0, levels)
+    margins = []
+    for lobe in lobes:
+        if lobe == 0:
+            cuts = np.linspace(0.0, vmax, levels)
+            gap = (batched_interp(v_b, u_b, cuts)
+                   - batched_interp(v_a, u_a, cuts))
+        else:
+            cuts = np.linspace(-vmax, 0.0, levels)
+            gap = (batched_interp(v_a, u_a, cuts)
+                   - batched_interp(v_b, u_b, cuts))
+        margins.append(gap.max(axis=1) / _SQRT2)
+    return tuple(margins)
 
-    gap0 = (batched_interp(v_b, u_b, vq0) - batched_interp(v_a, u_a, vq0))
-    gap1 = (batched_interp(v_a, u_a, vq1) - batched_interp(v_b, u_b, vq1))
 
-    rnm0 = gap0.max(axis=1) / _SQRT2
-    rnm1 = gap1.max(axis=1) / _SQRT2
-    return rnm0, rnm1
+def abscissae_increasing(curves: ButterflyCurves) -> np.ndarray:
+    """Per row: both curves' rotated abscissae strictly increase, (B,).
+
+    Holds when no node of either VTC rises a full grid step above its
+    predecessor.  Under it each curve is a function ``u(v)``
+    that :func:`batched_interp` interpolates as the polyline through
+    its nodes, which the margin-enclosure argument of
+    :mod:`repro.perf.adaptive` needs.
+    """
+    v_a, _, v_b, _ = _rotated_curves(curves)
+    return (np.all(v_a[:, 1:] > v_a[:, :-1], axis=1)
+            & np.all(v_b[:, 1:] > v_b[:, :-1], axis=1))
 
 
 def static_noise_margin(curves: ButterflyCurves, levels: int = 96

@@ -1,4 +1,4 @@
-"""Adaptive evaluator: guard band math and label bit-identity."""
+"""Adaptive evaluator: margin enclosure and label bit-identity."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.perf import PerfConfig, build_evaluator
-from repro.perf.adaptive import AdaptiveMarginEvaluator, margin_guard_band
-from repro.perf.cache import SolveCache
+from repro.perf.adaptive import (CASCADE_DEPTHS, AdaptiveMarginEvaluator,
+                                 bound_tag, corner_margin)
+from repro.perf.cache import LEVELS, SolveCache
 from repro.sram.evaluator import CellEvaluator
 
 
@@ -24,30 +25,22 @@ def mixed_batch(rng, n):
                       rng.normal(scale=3.0, size=(n, 6))])
 
 
-class TestGuardBand:
-    def test_formula(self):
-        band = margin_guard_band(0.7, 12, 40, safety=1.0)
-        expected = 3.0 * 0.7 * (2.0 ** -13 + 2.0 ** -41)
-        assert band == pytest.approx(expected)
-
-    def test_safety_scales_linearly(self):
-        one = margin_guard_band(0.7, 12, 40, safety=1.0)
-        four = margin_guard_band(0.7, 12, 40, safety=4.0)
-        assert four == pytest.approx(4.0 * one)
-
-    def test_safety_below_one_rejected(self):
-        with pytest.raises(ValueError, match="safety"):
-            margin_guard_band(0.7, 12, 40, safety=0.5)
-
-    def test_coarse_margin_error_within_band(self, evaluators, rng):
-        """The analytic bound actually holds on sampled data."""
+class TestEnclosure:
+    def test_screen_enclosure_holds(self, evaluators, rng):
+        """The screening depth's corner margins bracket the exact ones."""
         exact, fast = evaluators
         x = mixed_batch(rng, 300)
         e0, e1 = exact.margins(x)
-        c0, c1 = fast._margins_at(x, fast.coarse_solver, "coarse")
-        band = fast.guard_band
-        assert np.max(np.abs(c0 - e0)) < band
-        assert np.max(np.abs(c1 - e1)) < band
+        _, state = fast.solver.solve_with_state(
+            fast.space.to_physical(x), CASCADE_DEPTHS[0])
+        for lobe, exact_margin in ((0, e0), (1, e1)):
+            lower, upper = (corner_margin(state, fast.solver.grid,
+                                          fast.vdd, fast.margin_levels,
+                                          lobe, bound)
+                            for bound in ("lower", "upper"))
+            assert np.all(np.isfinite(lower) & np.isfinite(upper))
+            assert np.all(lower <= exact_margin)
+            assert np.all(exact_margin <= upper)
 
 
 class TestLabelBitIdentity:
@@ -93,11 +86,16 @@ class TestLabelBitIdentity:
                                            rng):
         exact = CellEvaluator(paper_cell, paper_space)
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+        fast.cache = SolveCache(fast.solve_fingerprint())
         x = mixed_batch(rng, 500)
         exact.failure_labels(x, "cell")
         fast.failure_labels(x, "cell")
         assert fast.device_model_evals < 0.5 * exact.device_model_evals
-        assert fast.screened > 0.9 * x.shape[0]
+        # more than 90% of rows settle by depth 8: only the rest reach
+        # the next level's cache tag
+        levels = fast.cache.state()["levels"]
+        beyond_8 = np.sum(levels == LEVELS.index(bound_tag(12, 0)))
+        assert x.shape[0] - beyond_8 > 0.9 * x.shape[0]
 
 
 class TestCachedAdaptive:
@@ -134,12 +132,44 @@ class TestFingerprints:
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         assert plain.solve_fingerprint() != fast.solve_fingerprint()
 
-    def test_coarse_depth_participates(self, paper_cell, paper_space):
-        a = AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                    coarse_iterations=12)
-        b = AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                    coarse_iterations=16)
-        assert a.solve_fingerprint() != b.solve_fingerprint()
+    def test_settling_rule_participates(self, paper_cell, paper_space,
+                                        monkeypatch):
+        import repro.perf.adaptive as adaptive
+
+        seen = {AdaptiveMarginEvaluator(paper_cell,
+                                        paper_space).solve_fingerprint()}
+        monkeypatch.setattr(adaptive, "CASCADE_DEPTHS", (8, 16, 32))
+        seen.add(AdaptiveMarginEvaluator(paper_cell,
+                                         paper_space).solve_fingerprint())
+        monkeypatch.setattr(adaptive, "SETTLE_DELTA", 1e-10)
+        seen.add(AdaptiveMarginEvaluator(paper_cell,
+                                         paper_space).solve_fingerprint())
+        assert len(seen) == 3
+
+    def test_guard_band_cascade_caches_never_load(self, paper_cell,
+                                                  paper_space, rng,
+                                                  tmp_path):
+        """Caches of the retired guard-band cascade are rejected.
+
+        ``2def08fc9319dc5f`` is the default Table-I evaluator's
+        fingerprint under that cascade; its files and checkpoint cache
+        snapshots held guard-band margins under the shared level tags.
+        """
+        import repro.perf as perf_pkg
+
+        guard_band_fingerprint = "2def08fc9319dc5f"
+        stale = SolveCache(guard_band_fingerprint)
+        dvth = rng.normal(size=(4, 6)) * 0.01
+        stale.store("exact", dvth, np.ones(4), np.ones(4))
+        stale.save(tmp_path)
+        perf_pkg._REGISTERED_CACHES.clear()
+        fresh = build_evaluator(paper_cell, paper_space,
+                                perf=PerfConfig(cache_path=str(tmp_path)))
+        perf_pkg._REGISTERED_CACHES.clear()
+        assert fresh.solve_fingerprint() != guard_band_fingerprint
+        assert len(fresh.cache) == 0
+        assert not fresh.cache.restore_state(stale.state())
+        assert len(fresh.cache) == 0
 
     def test_same_config_same_fingerprint(self, paper_cell, paper_space):
         a = CellEvaluator(paper_cell, paper_space)
@@ -182,9 +212,12 @@ class TestBuildEvaluator:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PerfConfig(coarse_iterations=4)
-        with pytest.raises(ValueError):
-            PerfConfig(guard_safety=0.5)
-        with pytest.raises(ValueError):
             PerfConfig(cache_entries=-1)
         assert not PerfConfig.exact().caching
+
+    def test_cascade_has_no_knobs(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(PerfConfig)] == [
+            "adaptive", "cache_entries", "cache_path", "batched",
+            "array_backend", "label_batch"]

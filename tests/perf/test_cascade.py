@@ -1,5 +1,5 @@
-"""Depth-cascade labelling: bit-identity, per-depth error bounds, and
-counter parity across backends."""
+"""Enclosure-cascade labelling: bit-identity, soundness of the margin
+enclosure at every depth, and counter parity across backends."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import pytest
 from repro.core.naive import NaiveMonteCarlo
 from repro.experiments.setup import paper_setup
 from repro.perf import BatchPlanner, PerfConfig, build_evaluator
-from repro.perf.adaptive import (CASCADE_DEPTHS, AdaptiveMarginEvaluator,
-                                 margin_guard_band)
+from repro.perf.adaptive import (CASCADE_DEPTHS, CRITERION_LOBES,
+                                 SETTLE_DELTA, AdaptiveMarginEvaluator,
+                                 bound_tag, corner_margin)
 from repro.perf.cache import LEVELS, SolveCache
 from repro.runtime import ExecutionConfig
-from repro.sram.butterfly import ReadButterflySolver
+from repro.sram.margins import abscissae_increasing
 
 from .test_adaptive import mixed_batch
 
@@ -35,7 +36,8 @@ def boundary_points(exact, which, rng, n_rays=12):
     directions = rng.standard_normal((n_rays, 6))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     lo, hi = np.zeros(n_rays), np.full(n_rays, 10.0)
-    select = {"cell": exact.cell_margin, "lobe0": exact.lobe0_margin}
+    select = {"cell": exact.cell_margin, "lobe0": exact.lobe0_margin,
+              "lobe1": lambda x: exact.margins(x)[1]}
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         failed = select[which](directions * mid[:, None]) < 0.0
@@ -52,6 +54,19 @@ def planted(request, exact):
     which = request.param
     x = boundary_points(exact, which, np.random.default_rng(77))
     return which, x
+
+
+def level_tag(depth: int) -> str:
+    """Cache tag a row reaching cascade ``depth`` is stored under."""
+    return "exact" if depth == 40 else bound_tag(depth, 0)
+
+
+def reached_per_depth(fast) -> dict[int, int]:
+    """Rows that reached each cascade depth, from the cache's tags."""
+    stored = np.bincount(fast.cache.state()["levels"],
+                         minlength=len(LEVELS))
+    return {depth: int(stored[LEVELS.index(level_tag(depth))])
+            for depth in fast.cascade}
 
 
 class TestLabelIdentity:
@@ -83,18 +98,16 @@ class TestLabelIdentity:
     def test_planted_points_walk_every_level(self, paper_cell,
                                              paper_space, planted):
         """Near-boundary rows must be carried down to the exact depth,
-        each level storing its margins under its own cache tag."""
+        each level storing its bounds under its own cache tag."""
         which, x = planted
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         fast.cache = SolveCache(fast.solve_fingerprint())
         fast.failure_labels(x, which)
-        stored = np.bincount(fast.cache.state()["levels"],
-                             minlength=len(LEVELS))
-        for _, tag, _ in fast.cascade:
-            assert stored[LEVELS.index(tag)] > 0, tag
+        reached = reached_per_depth(fast)
+        for depth, n in reached.items():
+            assert n > 0, depth
         # rows thin out with depth
-        per_level = [stored[LEVELS.index(tag)]
-                     for _, tag, _ in fast.cascade]
+        per_level = list(reached.values())
         assert per_level == sorted(per_level, reverse=True)
         assert per_level[0] == x.shape[0]
 
@@ -102,49 +115,104 @@ class TestLabelIdentity:
 class TestCascadeShape:
     def test_default_levels(self, paper_cell, paper_space):
         fast = build_evaluator(paper_cell, paper_space)
-        depths = [depth for depth, _, _ in fast.cascade]
-        assert depths == [8, *CASCADE_DEPTHS, 40]
-        bands = [band for _, _, band in fast.cascade]
-        assert bands[0] == fast.guard_band
-        assert bands[:-1] == sorted(bands[:-1], reverse=True)
-        assert bands[-1] == -np.inf
+        assert fast.cascade == (4, 8, 12, 16, 20, 24, 32, 40)
+        assert fast.cascade == (*CASCADE_DEPTHS,
+                                fast.solver.bisection_iterations)
 
-    def test_deeper_screen_skips_shallower_levels(self, paper_cell,
-                                                  paper_space):
-        fast = AdaptiveMarginEvaluator(paper_cell, paper_space,
-                                       coarse_iterations=16)
-        assert [d for d, _, _ in fast.cascade] == [16, 20, 24, 32, 40]
+    def test_schedule_is_a_constant(self, paper_cell, paper_space):
+        """No configuration changes the schedule: every evaluator the
+        perf policies build walks the same depths."""
+        for perf in (PerfConfig(), PerfConfig(cache_entries=0),
+                     PerfConfig(batched=False), PerfConfig(label_batch=7)):
+            fast = build_evaluator(paper_cell, paper_space, perf=perf)
+            assert fast.cascade == (*CASCADE_DEPTHS, 40)
 
     def test_every_cascade_depth_has_a_cache_level(self):
         for depth in CASCADE_DEPTHS:
-            assert f"depth-{depth}" in LEVELS
+            for lobe in (0, 1):
+                assert bound_tag(depth, lobe) in LEVELS
+
+    def test_cache_levels_are_only_appended(self):
+        assert LEVELS[:7] == ("exact", "coarse", "depth-12", "depth-16",
+                              "depth-20", "depth-24", "depth-32")
 
 
-class TestPerDepthErrorBound:
-    @pytest.mark.parametrize("depth", [8, *CASCADE_DEPTHS])
-    def test_error_within_band_over_safety(self, paper_cell, paper_space,
-                                           exact, depth):
-        """``|m_k - m_40| <= margin_guard_band(k) / guard_safety``.
+def lobe_bounds(state, evaluator, which):
+    """Full ``(lower, upper)`` enclosure of criterion ``which``."""
+    lobes = (1,) if which == "lobe1" else CRITERION_LOBES[which]
+    bounds = [[corner_margin(state, evaluator.solver.grid, evaluator.vdd,
+                             evaluator.margin_levels, lobe, bound)
+               for bound in ("lower", "upper")] for lobe in lobes]
+    return tuple(np.minimum.reduce(list(side)) for side in zip(*bounds))
 
-        The measured headroom of the analytic bound (safety 1) is about
-        3x at every depth; docs/PERFORMANCE.md tabulates it.
-        """
-        rng = np.random.default_rng(depth)
-        x = mixed_batch(rng, 400)
-        e0, e1 = exact.margins(x)
-        solver = ReadButterflySolver(paper_cell, grid_points=61,
-                                     bisection_iterations=depth)
-        k0, k1 = exact._margins_at(x, solver, "exact")
-        worst = max(np.max(np.abs(k0 - e0)), np.max(np.abs(k1 - e1)),
-                    np.max(np.abs(np.minimum(k0, k1)
-                                  - np.minimum(e0, e1))))
-        safety = PerfConfig().guard_safety
-        bound = margin_guard_band(exact.vdd, depth, 40, safety) / safety
-        print(f"depth {depth}: worst |m_k - m_40| {worst:.3e} V, "
-              f"bound {bound:.3e} V, headroom {bound / worst:.1f}x")
-        assert worst <= bound
-        # the error really shrinks with depth as the analysis says
-        assert worst > bound / 100.0
+
+def criterion_margin(exact, x, which):
+    e0, e1 = exact.margins(x)
+    return {"cell": np.minimum(e0, e1), "lobe0": e0, "lobe1": e1}[which]
+
+
+@pytest.fixture(scope="module")
+def depth_states(exact):
+    """Brackets at every depth 1..32 of a mixed and the planted batches.
+
+    One bisection resumed a step at a time, so each depth's brackets are
+    exactly the ones a from-scratch solve to that depth produces.
+    """
+    batches = {"mixed": mixed_batch(np.random.default_rng(21), 300)}
+    for which in ("cell", "lobe0", "lobe1"):
+        batches[f"planted-{which}"] = boundary_points(
+            exact, which, np.random.default_rng(78))
+    states = {}
+    for name, x in batches.items():
+        dvth = exact.space.to_physical(x)
+        _, state = exact.solver.solve_with_state(dvth, 1)
+        for depth in range(1, 33):
+            if depth > 1:
+                exact.solver.resume(dvth, state, depth)
+            states[name, depth] = state.rows(np.arange(x.shape[0]))
+    return batches, states
+
+
+class TestEnclosureSoundness:
+    @pytest.mark.parametrize("depth", range(1, 33))
+    @pytest.mark.parametrize("which", ["cell", "lobe0", "lobe1"])
+    @pytest.mark.parametrize("batch", ["mixed", "planted"])
+    def test_exact_margin_inside_enclosure(self, exact, depth_states,
+                                           batch, which, depth):
+        """``lower <= m_40 <= upper`` at every depth, with the corner
+        precondition holding on every row (no infinite bound)."""
+        batches, states = depth_states
+        name = batch if batch == "mixed" else f"planted-{which}"
+        x = batches[name]
+        margin = criterion_margin(exact, x, which)
+        if batch == "planted":
+            assert np.min(np.abs(margin)) < 1e-12
+        lower, upper = lobe_bounds(states[name, depth], exact, which)
+        assert np.all(np.isfinite(lower) & np.isfinite(upper))
+        assert np.all(lower <= margin) and np.all(margin <= upper)
+        # a settled row's label is the exact sign
+        assert np.all(margin[lower > SETTLE_DELTA] > 0.0)
+        assert np.all(margin[upper < -SETTLE_DELTA] < 0.0)
+
+    def test_enclosure_tightens_with_depth(self, exact, depth_states):
+        batches, states = depth_states
+        widths = []
+        for depth in (4, 8, 12, 16):
+            lower, upper = lobe_bounds(states["mixed", depth], exact,
+                                       "lobe0")
+            widths.append(float(np.median(upper - lower)))
+        # four more steps shrink a bracket 16-fold
+        for wide, narrow in zip(widths, widths[1:]):
+            assert 8.0 < wide / narrow < 32.0
+
+    @pytest.mark.parametrize("batch", ["mixed", "planted-cell"])
+    def test_exact_curves_meet_the_precondition(self, exact, depth_states,
+                                                batch):
+        """The converged VTCs never rise a grid step either, so the
+        enclosure argument covers the path from corners to them."""
+        batches, _ = depth_states
+        curves = exact.solver.solve(exact.space.to_physical(batches[batch]))
+        assert np.all(abscissae_increasing(curves))
 
 
 class TestCascadeCost:
@@ -156,10 +224,7 @@ class TestCascadeCost:
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         fast.cache = SolveCache(fast.solve_fingerprint())
         fast.failure_labels(x, which)
-        levels = np.bincount(fast.cache.state()["levels"],
-                             minlength=len(LEVELS))
-        reached = {depth: levels[LEVELS.index(tag)]
-                   for depth, tag, _ in fast.cascade}
+        reached = reached_per_depth(fast)
         depths = sorted(reached)
         steps = sum((depth - prev) * reached[depth]
                     for prev, depth in zip([0] + depths, depths))
@@ -175,7 +240,10 @@ class TestCascadeCost:
         which, x = planted
         fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
         fast.cache = SolveCache(fast.solve_fingerprint())
-        fast._margins_at(x[::2], fast.coarse_solver, "coarse")
+        half = fast.space.to_physical(x[::2])
+        fast._level_bounds(half, CASCADE_DEPTHS[0],
+                           CRITERION_LOBES[which], None,
+                           np.zeros(half.shape[0], dtype=bool))
         assert np.array_equal(fast.failure_labels(x, which),
                               exact.failure_labels(x, which))
 
@@ -189,13 +257,35 @@ class TestCascadeCost:
         assert np.array_equal(fast.failure_labels(x, which), labels)
         assert fast.device_model_evals == evals
 
+    def test_cached_bounds_answer_only_their_lobe(self, paper_cell,
+                                                  paper_space, exact,
+                                                  planted):
+        """Bounds stored for a lobe-0 label cannot settle a cell label:
+        the cell criterion misses on lobe 1 and solves again."""
+        _, x = planted
+        fast = AdaptiveMarginEvaluator(paper_cell, paper_space)
+        fast.cache = SolveCache(fast.solve_fingerprint())
+        fast.failure_labels(x, "lobe0")
+        stored = fast.cache.state()["levels"]
+        assert not np.any(stored == LEVELS.index(bound_tag(4, 1)))
+        evals = fast.device_model_evals
+        assert np.array_equal(fast.failure_labels(x, "cell"),
+                              exact.failure_labels(x, "cell"))
+        assert fast.device_model_evals > evals
+        stored = fast.cache.state()["levels"]
+        assert np.sum(stored == LEVELS.index(bound_tag(4, 1))) == len(x)
+
     def test_screen_counters(self, paper_cell, paper_space, rng):
         fast = AdaptiveMarginEvaluator(
             paper_cell, paper_space, planner=BatchPlanner(max_batch=50))
+        fast.cache = SolveCache(fast.solve_fingerprint())
         x = mixed_batch(rng, 200)
         fast.failure_labels(x, "cell")
         assert fast.screened + fast.refined == x.shape[0]
-        assert fast.screened > 0.9 * x.shape[0]
+        reached = reached_per_depth(fast)
+        assert fast.refined == reached[8]
+        # more than 90% settle by depth 8, the retired screen's depth
+        assert x.shape[0] - reached[12] > 0.9 * x.shape[0]
 
 
 @pytest.mark.slow

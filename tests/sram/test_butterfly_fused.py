@@ -96,6 +96,32 @@ class TestFusionBitIdentity:
         with pytest.raises(ValueError, match="cannot resume"):
             exact.resume(shifts, state, 41)
 
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("depth", [1, 4, 8])
+    def test_shallow_state_on_the_full_solver(self, paper_cell, shifts,
+                                              batched, depth):
+        """A depth-``k`` solve on the 40-step solver is the first ``k``
+        steps of the full solve: its state resumes to the same bits at
+        the from-scratch cost."""
+        solver = ReadButterflySolver(paper_cell, grid_points=21,
+                                     batched=batched)
+        want = solver.solve(shifts)
+        before = solver.model_evals
+        _, state = solver.solve_with_state(shifts, depth)
+        assert state.iterations == depth
+        assert solver.model_evals - before \
+            == 2 * want.vtc_a.size * depth
+        full = solver.resume(shifts, state)
+        assert np.array_equal(full.vtc_a, want.vtc_a)
+        assert np.array_equal(full.vtc_b, want.vtc_b)
+        assert solver.model_evals - before == 2 * want.vtc_a.size * 40
+
+    def test_solve_with_state_depth_bounds(self, paper_cell, shifts):
+        solver = ReadButterflySolver(paper_cell, grid_points=21)
+        for depth in (0, 41):
+            with pytest.raises(ValueError, match="depth"):
+                solver.solve_with_state(shifts, depth)
+
     def test_fused_eval_count_matches_legacy(self, paper_cell, shifts):
         fused, legacy = solver_pair(paper_cell)
         fused.solve(shifts)

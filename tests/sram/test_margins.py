@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sram.butterfly import ButterflyCurves
 from repro.sram.margins import (
+    abscissae_increasing,
     batched_interp,
     lobe_margins,
     max_square_reference,
@@ -222,3 +223,39 @@ class TestCellMargins:
         x[0, 4] = -2.0  # D2 strengthened -> asymmetric
         assert paper_evaluator.cell_margin(x)[0] < \
             paper_evaluator.cell_margin(np.zeros((1, 6)))[0]
+
+
+class TestOneLobe:
+    def test_bits_match_both_lobe_extraction(self, paper_evaluator, rng):
+        curves = paper_evaluator.solver.solve(
+            paper_evaluator.space.to_physical(rng.normal(size=(40, 6))))
+        both = lobe_margins(curves, 64)
+        for lobe in (0, 1):
+            [one] = lobe_margins(curves, 64, (lobe,))
+            assert _bits(one) == _bits(both[lobe])
+
+    def test_validation(self, paper_evaluator):
+        curves = paper_evaluator.solver.solve(np.zeros((1, 6)))
+        with pytest.raises(ValueError, match="lobes"):
+            lobe_margins(curves, lobes=(2,))
+
+
+class TestAbscissaeIncreasing:
+    def test_monotone_vtcs_pass(self, paper_evaluator, rng):
+        curves = paper_evaluator.solver.solve(
+            paper_evaluator.space.to_physical(rng.normal(size=(20, 6))))
+        assert np.all(abscissae_increasing(curves))
+
+    @pytest.mark.parametrize("side", ["vtc_a", "vtc_b"])
+    def test_a_grid_step_rise_fails_only_its_row(self, side):
+        grid = np.linspace(0.0, 1.0, 11)
+        step = grid[1] - grid[0]
+        flat = np.full((3, 11), 0.5)
+        raised = flat.copy()
+        raised[1, 6] += 1.01 * step     # rises just over one grid step
+        raised[2, 6] += 0.99 * step     # rises just under one
+        curves = ButterflyCurves(grid=grid, vtc_a=flat, vtc_b=flat,
+                                 vdd=1.0)
+        setattr(curves, side, raised)
+        assert abscissae_increasing(curves).tolist() == [True, False,
+                                                         True]
